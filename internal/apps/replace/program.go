@@ -2,6 +2,7 @@ package replace
 
 import (
 	"fmt"
+	"sync"
 
 	"symplfied/internal/asm"
 	"symplfied/internal/isa"
@@ -807,10 +808,12 @@ SL_done:
 	jr $31
 `
 
-// Program assembles the replace application.
-func Program() *isa.Program {
-	return asm.MustParse("replace", Source).Program
-}
+// Program returns the replace application, assembled once: a Program is
+// immutable, so every caller (each campaign a long-running service builds,
+// say) shares the one copy.
+func Program() *isa.Program { return program() }
+
+var program = sync.OnceValue(func() *isa.Program { return asm.MustParse("replace", Source).Program })
 
 // DodashDelimCallPC returns the PC of the instruction that loads the
 // delimiter argument for the dodash call inside getccl — the paper's

@@ -14,6 +14,7 @@ package tcas
 
 import (
 	"fmt"
+	"sync"
 
 	"symplfied/internal/asm"
 	"symplfied/internal/isa"
@@ -339,10 +340,12 @@ IBC_done:
 	jr $31
 `
 
-// Program assembles the tcas application.
-func Program() *isa.Program {
-	return asm.MustParse("tcas", Source).Program
-}
+// Program returns the tcas application, assembled once: a Program is
+// immutable, so every caller (each campaign a long-running service builds,
+// say) shares the one copy.
+func Program() *isa.Program { return program() }
+
+var program = sync.OnceValue(func() *isa.Program { return asm.MustParse("tcas", Source).Program })
 
 // ReturnJrPC locates the "jr $31" return of the function starting at label
 // fn: the paper's catastrophic injection point when fn is

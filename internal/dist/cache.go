@@ -19,8 +19,8 @@ var (
 //
 //   - the campaign fingerprint (program, detectors, input, predicate,
 //     execution options, budgets, injection list — see campaign.Fingerprint),
-//   - the decomposition width (cluster.Split is deterministic, so fingerprint
-//     + width + task ID pins the exact injection slice),
+//   - the decomposition width (cluster.Split is deterministic, so the
+//     fingerprint, the width and the task ID pin the exact injection slice),
 //   - the task ID within that split,
 //   - the per-task state budget and findings cap, which bound exploration.
 //

@@ -222,7 +222,7 @@ type CampaignInfo struct {
 	// with a shared fingerprint.
 	ID          string
 	Tenant      string
-	Priority    int    `json:",omitempty"`
+	Priority    int `json:",omitempty"`
 	Fingerprint string
 	// State is "open" (accepting claims), "done" (every task settled) or
 	// "cancelled".

@@ -19,6 +19,10 @@ type Program struct {
 
 	labelsAt map[int][]string // instruction index -> labels (for rendering)
 	code     []Lowered        // Instrs lowered once, index for index
+	// nearest[pc] is the index of the closest label at or before pc, -1
+	// when there is none; pc ranges over [0, len(Instrs)].
+	nearest []int
+	locs    []string // Locate's rendering of every valid pc
 }
 
 // NewProgram assembles a program from resolved instructions and labels. Every
@@ -63,6 +67,18 @@ func NewProgram(name string, instrs []Instr, labels map[string]int) (*Program, e
 	for _, ls := range p.labelsAt {
 		sort.Strings(ls)
 	}
+	p.nearest = make([]int, len(p.Instrs)+1)
+	best := -1
+	for pc := range p.nearest {
+		if _, ok := p.labelsAt[pc]; ok {
+			best = pc
+		}
+		p.nearest[pc] = best
+	}
+	p.locs = make([]string, len(p.Instrs))
+	for pc := range p.locs {
+		p.locs[pc] = p.locate(pc)
+	}
 	p.code = make([]Lowered, len(p.Instrs))
 	for i, in := range p.Instrs {
 		p.code[i] = Lower(in)
@@ -87,32 +103,30 @@ func (p *Program) At(pc int) Instr { return p.Instrs[pc] }
 func (p *Program) LabelsAt(pc int) []string { return p.labelsAt[pc] }
 
 // LabelFor returns the closest label at or before pc along with the offset
-// from it, for human-readable locations like "loop+2". It returns ok=false
-// for programs without labels.
+// from it, for human-readable locations like "loop+2"; of several labels on
+// one instruction it picks the alphabetically first. It returns ok=false
+// when no label precedes pc.
 func (p *Program) LabelFor(pc int) (label string, offset int, ok bool) {
-	best := -1
-	for l, idx := range p.Labels {
-		if idx <= pc && (idx > best || (idx == best && l < label)) {
-			if idx > best {
-				best = idx
-				label = l
-			} else if l < label {
-				label = l
-			}
-			ok = true
-		}
-	}
-	if !ok {
+	if pc < 0 {
 		return "", 0, false
 	}
-	return label, pc - best, true
+	best := p.nearest[min(pc, len(p.Instrs))]
+	if best < 0 {
+		return "", 0, false
+	}
+	return p.labelsAt[best][0], pc - best, true
 }
 
-// Locate renders a human-readable code location for pc.
+// Locate renders a human-readable code location for pc. Valid pcs are
+// rendered once, by NewProgram.
 func (p *Program) Locate(pc int) string {
 	if !p.ValidPC(pc) {
 		return fmt.Sprintf("@%d(invalid)", pc)
 	}
+	return p.locs[pc]
+}
+
+func (p *Program) locate(pc int) string {
 	if label, off, ok := p.LabelFor(pc); ok {
 		if off == 0 {
 			return fmt.Sprintf("%s (@%d)", label, pc)

@@ -165,6 +165,9 @@ func (s *Store) Clear(loc isa.Loc) {
 	delete(s.terms, loc)
 }
 
+// HasTerms reports whether any location holds err.
+func (s *Store) HasTerms() bool { return len(s.terms) > 0 }
+
 // Term returns loc's symbolic term, if it holds err.
 func (s *Store) Term(loc isa.Loc) (Term, bool) {
 	t, ok := s.terms[loc]

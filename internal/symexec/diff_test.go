@@ -153,6 +153,9 @@ func TestDifferentialConcreteVsSymbolic(t *testing.T) {
 			if !st.StepInPlace() {
 				t.Fatalf("iter %d: fault-free program forked at pc %d:\n%s", iter, st.PC, prog)
 			}
+			if err := termInvariant(st); err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
 		}
 
 		cOutcome := OutcomeNormal
@@ -244,8 +247,14 @@ func TestDifferentialWithInjection(t *testing.T) {
 		for len(frontier) > 0 && states < 50_000 {
 			cur := frontier[0]
 			frontier = frontier[1:]
+			if err := termInvariant(cur); err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
 			for cur.Running() && cur.StepInPlace() {
 				states++
+				if err := termInvariant(cur); err != nil {
+					t.Fatalf("iter %d: %v", iter, err)
+				}
 			}
 			if !cur.Running() {
 				key := cur.Outcome().String() + "|" + cur.OutputString()

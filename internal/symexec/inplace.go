@@ -15,10 +15,12 @@ import (
 // case the caller must expand with Successors. Callers must own the state
 // exclusively (the checker's frontier states qualify).
 //
-// This is a performance fast path: a deterministic step avoids cloning the
-// register file, memory and constraint store. Semantics are identical to
-// Successors returning exactly one running/terminal state; the equivalence
-// is pinned by TestStepInPlaceAgreesWithSuccessors.
+// This is the executor's one deterministic step: Successors clones and
+// calls it for every step that does not fork, and ShareableStep classifies
+// its cases. It dispatches once on the lowered Kind. Concrete operands never
+// touch the symbolic store: by the term invariant (a concrete location has
+// no term, $0 excepted) a concrete write clears a term only when it
+// overwrites err.
 func (s *State) StepInPlace() bool {
 	if !s.Running() {
 		return false
@@ -28,14 +30,28 @@ func (s *State) StepInPlace() bool {
 		s.Stats.CountWatchdog()
 		return true
 	}
-	if !s.Prog.ValidPC(s.PC) {
+	code := s.Prog.Code()
+	if uint(s.PC) >= uint(len(code)) {
 		s.raise(isa.ExcIllegalInstr, fmt.Sprintf("fetch from %d", s.PC))
 		return true
 	}
-	in := s.Prog.At(s.PC)
-
-	if bin, imm, ok := isa.ArithOp(in.Op); ok {
-		x, y := s.operandPair(in, imm)
+	op := &code[s.PC]
+	switch op.Kind {
+	case isa.KindAdd, isa.KindSub, isa.KindMult, isa.KindDiv, isa.KindMod, isa.KindAnd,
+		isa.KindOr, isa.KindXor, isa.KindNor, isa.KindSll, isa.KindSrl, isa.KindSra:
+		bin, _ := op.Kind.Bin()
+		if x, y, ok := s.concreteOperands(op); ok {
+			s.Steps++
+			v, err := isa.EvalBin(bin, x, y)
+			if err != nil {
+				s.raise(isa.ExcDivZero, "")
+				return true
+			}
+			s.setRegInt(op.Rd, v)
+			s.PC++
+			return true
+		}
+		x, y := s.operands(op)
 		res := symbolic.PropagateBin(bin, x, y, s.Opts.AffineTracking)
 		if res.ForkOnDivisor {
 			return false
@@ -45,184 +61,181 @@ func (s *State) StepInPlace() bool {
 			s.raise(isa.ExcDivZero, "")
 			return true
 		}
-		s.setReg(in.Rd, res.Val, res.Term, res.HasTerm)
-		s.PC++
-		return true
-	}
-
-	if cmp, imm, ok := isa.CmpForOp(in.Op); ok {
-		x, y := s.operandPair(in, imm)
-		switch symbolic.DecideCmp(cmp, x, y) {
-		case symbolic.CmpTrue:
-			s.Steps++
-			s.setReg(in.Rd, isa.Int(1), symbolic.Term{}, false)
-			s.PC++
-			return true
-		case symbolic.CmpFalse:
-			s.Steps++
-			s.setReg(in.Rd, isa.Int(0), symbolic.Term{}, false)
-			s.PC++
-			return true
-		}
-		return false
-	}
-
-	switch in.Op {
-	case isa.OpMov:
-		op := s.regOperand(in.Rs)
-		s.Steps++
-		s.setReg(in.Rd, op.Val, op.Term, op.HasTerm)
-		s.PC++
-		return true
-	case isa.OpLi:
-		s.Steps++
-		s.setReg(in.Rd, isa.Int(in.Imm), symbolic.Term{}, false)
-		s.PC++
-		return true
-	case isa.OpLui:
-		s.Steps++
-		s.setReg(in.Rd, isa.Int(in.Imm<<16), symbolic.Term{}, false)
-		s.PC++
-		return true
-	case isa.OpLd:
-		base := s.regOperand(in.Rs)
-		bc, conc := base.Val.Concrete()
-		if !conc {
+		s.setReg(op.Rd, res.Val, res.Term, res.HasTerm)
+	case isa.KindSetEq, isa.KindSetNe, isa.KindSetGt, isa.KindSetLt, isa.KindSetGe, isa.KindSetLe:
+		cmp, _ := op.Kind.Cmp()
+		taken, decided := s.decide(op, cmp)
+		if !decided {
 			return false
 		}
 		s.Steps++
-		addr := bc + in.Imm
-		op, defined := s.memOperand(addr)
-		if !defined {
+		var v int64
+		if taken {
+			v = 1
+		}
+		s.setRegInt(op.Rd, v)
+	case isa.KindBranch:
+		taken, decided := s.decide(op, branchCmp(op))
+		if !decided {
+			return false
+		}
+		s.Steps++
+		if taken {
+			s.PC = op.Target
+			return true
+		}
+	case isa.KindMov:
+		s.Steps++
+		if v := s.Regs[op.Rs]; !v.IsErr() {
+			s.setRegInt(op.Rd, v.MustConcrete())
+		} else {
+			x := s.regOperand(op.Rs)
+			s.setReg(op.Rd, x.Val, x.Term, x.HasTerm)
+		}
+	case isa.KindLi:
+		s.Steps++
+		s.setRegInt(op.Rd, op.Imm)
+	case isa.KindLd:
+		base := s.Regs[op.Rs]
+		if base.IsErr() {
+			return false
+		}
+		s.Steps++
+		addr := base.MustConcrete() + op.Imm
+		v, defined := s.Mem[addr]
+		switch {
+		case !defined:
 			s.raise(isa.ExcIllegalAddr, fmt.Sprintf("load from undefined %d", addr))
 			return true
+		case !v.IsErr():
+			s.setRegInt(op.Rt, v.MustConcrete())
+		default:
+			x, _ := s.memOperand(addr)
+			s.setReg(op.Rt, x.Val, x.Term, x.HasTerm)
 		}
-		s.setReg(in.Rt, op.Val, op.Term, op.HasTerm)
-		s.PC++
-		return true
-	case isa.OpSt:
-		base := s.regOperand(in.Rs)
-		bc, conc := base.Val.Concrete()
-		if !conc {
+	case isa.KindSt:
+		base := s.Regs[op.Rs]
+		if base.IsErr() {
 			return false
 		}
-		val := s.regOperand(in.Rt)
 		s.Steps++
-		s.setMem(bc+in.Imm, val.Val, val.Term, val.HasTerm)
-		s.PC++
-		return true
-	case isa.OpBeq, isa.OpBne, isa.OpBeqi, isa.OpBnei:
-		x := s.regOperand(in.Rs)
-		var y symbolic.Operand
-		if in.Op == isa.OpBeq || in.Op == isa.OpBne {
-			y = s.regOperand(in.Rt)
+		addr := base.MustConcrete() + op.Imm
+		if v := s.Regs[op.Rt]; !v.IsErr() {
+			s.setMemInt(addr, v.MustConcrete())
 		} else {
-			y = symbolic.ConcreteOperand(in.Imm)
+			x := s.regOperand(op.Rt)
+			s.setMem(addr, x.Val, x.Term, x.HasTerm)
 		}
-		cmp := isa.CmpEq
-		if in.Op == isa.OpBne || in.Op == isa.OpBnei {
-			cmp = isa.CmpNe
-		}
-		switch symbolic.DecideCmp(cmp, x, y) {
-		case symbolic.CmpTrue:
-			s.Steps++
-			s.PC = in.Target
-			return true
-		case symbolic.CmpFalse:
-			s.Steps++
-			s.PC++
-			return true
-		}
-		return false
-	case isa.OpJmp:
+	case isa.KindJmp:
 		s.Steps++
-		s.PC = in.Target
+		s.PC = op.Target
 		return true
-	case isa.OpJal:
+	case isa.KindJal:
 		s.Steps++
-		s.setReg(isa.RegRA, isa.Int(int64(s.PC+1)), symbolic.Term{}, false)
-		s.PC = in.Target
+		s.setRegInt(isa.RegRA, int64(s.PC+1))
+		s.PC = op.Target
 		return true
-	case isa.OpJr:
-		target := s.regOperand(in.Rs)
-		tc, conc := target.Val.Concrete()
-		if !conc {
+	case isa.KindJr:
+		target := s.Regs[op.Rs]
+		if target.IsErr() {
 			return false
 		}
 		s.Steps++
-		s.PC = int(tc)
+		s.PC = int(target.MustConcrete())
 		return true
-	case isa.OpRead:
+	case isa.KindRead:
 		s.Steps++
 		if s.InPos >= len(s.In) {
 			s.raise(isa.ExcThrow, "end of input")
 			return true
 		}
-		v := s.In[s.InPos]
 		s.InPos++
-		if n, ok := v.Concrete(); ok {
-			s.setReg(in.Rd, isa.Int(n), symbolic.Term{}, false)
-		} else {
-			s.setReg(in.Rd, isa.Err(), symbolic.Term{}, false)
-		}
-		s.PC++
-		return true
-	case isa.OpPrint:
+		s.setReg(op.Rd, s.In[s.InPos-1], symbolic.Term{}, false)
+	case isa.KindPrint:
 		s.Steps++
-		v := s.Regs[in.Rd]
-		if in.Rd == isa.RegZero {
-			v = isa.Int(0)
-		}
+		v := s.Regs[op.Rd]
 		s.Out = append(s.Out, machine.OutItem{Val: v})
 		if v.IsErr() {
 			s.note(trace.KindOutput, "printed err")
 		}
-		s.PC++
-		return true
-	case isa.OpPrints:
+	case isa.KindPrints:
 		s.Steps++
-		s.Out = append(s.Out, machine.OutItem{IsStr: true, Str: in.Str})
-		s.PC++
-		return true
-	case isa.OpNop:
+		s.Out = append(s.Out, machine.OutItem{IsStr: true, Str: s.Prog.At(s.PC).Str})
+	case isa.KindNop:
 		s.Steps++
-		s.PC++
-		return true
-	case isa.OpHalt:
+	case isa.KindHalt:
 		s.Steps++
 		s.Status = machine.StatusHalted
 		s.note(trace.KindHalt, "halt (output %q)", s.OutputString())
 		return true
-	case isa.OpThrow:
+	case isa.KindThrow:
 		s.Steps++
-		s.raise(isa.ExcThrow, in.Str)
+		s.raise(isa.ExcThrow, s.Prog.At(s.PC).Str)
 		return true
-	case isa.OpCheck:
-		return s.stepCheckInPlace(in)
+	case isa.KindCheck:
+		return s.stepCheck(op.Imm)
+	default:
+		s.raise(isa.ExcIllegalInstr, fmt.Sprintf("unsupported opcode %s", s.Prog.At(s.PC).Op))
+		return true
 	}
-	return false
+	s.PC++
+	return true
 }
 
-// stepCheckInPlace handles deterministic detector checks in place.
-func (s *State) stepCheckInPlace(in isa.Instr) bool {
-	det, ok := s.Dets.Lookup(in.Imm)
-	if !ok {
-		s.Steps++
-		s.raise(isa.ExcThrow, fmt.Sprintf("unknown detector %d", in.Imm))
-		return true
+// concreteOperands reads the two operands of an arithmetic, comparison-set
+// or branch op; ok is false when either holds err. $0 always holds 0.
+func (s *State) concreteOperands(op *isa.Lowered) (x, y int64, ok bool) {
+	xv := s.Regs[op.Rs]
+	if op.UseImm {
+		return xv.MustConcrete(), op.Imm, !xv.IsErr()
 	}
-	target, err := det.TargetOperand(s)
+	yv := s.Regs[op.Rt]
+	return xv.MustConcrete(), yv.MustConcrete(), !xv.IsErr() && !yv.IsErr()
+}
+
+// operands reads the two operands of an arithmetic, comparison-set or
+// branch op as propagation operands, with their terms.
+func (s *State) operands(op *isa.Lowered) (x, y symbolic.Operand) {
+	x = s.regOperand(op.Rs)
+	if op.UseImm {
+		return x, symbolic.ConcreteOperand(op.Imm)
+	}
+	return x, s.regOperand(op.Rt)
+}
+
+// branchCmp is the comparison a branch op takes on.
+func branchCmp(op *isa.Lowered) isa.Cmp {
+	if op.Neg {
+		return isa.CmpNe
+	}
+	return isa.CmpEq
+}
+
+// decide evaluates "Rs cmp Rt-or-Imm". decided is false when the outcome
+// depends on err, so the step forks.
+func (s *State) decide(op *isa.Lowered, cmp isa.Cmp) (taken, decided bool) {
+	if x, y, ok := s.concreteOperands(op); ok {
+		return isa.EvalCmp(cmp, x, y), true
+	}
+	x, y := s.operands(op)
+	switch symbolic.DecideCmp(cmp, x, y) {
+	case symbolic.CmpTrue:
+		return true, true
+	case symbolic.CmpFalse:
+		return false, true
+	}
+	return false, false
+}
+
+// stepCheck runs detector id in place unless its verdict depends on err.
+func (s *State) stepCheck(id int64) bool {
+	det, target, expr, err := s.detectorOperands(id)
 	if err != nil {
 		s.Steps++
 		s.raise(isa.ExcThrow, err.Error())
-		s.Exc.Detector = det.ID
-		return true
-	}
-	expr, err := det.EvalExpr(s, s.Opts.AffineTracking)
-	if err != nil {
-		s.Steps++
-		s.raise(isa.ExcThrow, err.Error())
-		s.Exc.Detector = det.ID
+		if det != nil {
+			s.Exc.Detector = det.ID
+		}
 		return true
 	}
 	switch symbolic.DecideCmp(det.Cmp, target, expr) {

@@ -1,71 +1,15 @@
 package symexec
 
 import (
+	"fmt"
 	"testing"
 
+	"symplfied/internal/apps/replace"
+	"symplfied/internal/apps/tcas"
 	"symplfied/internal/asm"
 	"symplfied/internal/isa"
+	"symplfied/internal/machine"
 )
-
-// progWithEverything exercises every deterministic instruction shape plus
-// fork points, for the in-place/clone equivalence check.
-const progWithEverything = `
-	li $8 7
-	li $9 3
-	add $10 $8 $9
-	sub $11 $8 $9
-	mult $12 $8 $9
-	div $13 $8 $9
-	mod $14 $8 $9
-	and $15 $8 $9
-	or $16 $8 $9
-	xor $17 $8 $9
-	seteq $18 $8 $9
-	setgt $19 $8 $9
-	mov $20 $10
-	st $10 50($0)
-	ld $21 50($0)
-	read $22
-	beqi $22 5 taken
-	prints "not taken "
-taken:	print $10
-	jal fn
-	jmp end
-fn:	addi $23 $23 1
-	jr $31
-end:	halt
-`
-
-// TestStepInPlaceAgreesWithSuccessors locks the fast path to the forking
-// path: running a fault-free program via StepInPlace and via Successors
-// must visit identical states.
-func TestStepInPlaceAgreesWithSuccessors(t *testing.T) {
-	u := asm.MustParse("everything", progWithEverything)
-	input := []int64{5}
-
-	inPlace := NewState(u.Program, u.Detectors, input, DefaultOptions())
-	cloned := NewState(u.Program, u.Detectors, input, DefaultOptions())
-
-	for step := 0; ; step++ {
-		if inPlace.Key() != cloned.Key() {
-			t.Fatalf("step %d: states diverge\n in-place: %s\n cloned:   %s", step, inPlace.Key(), cloned.Key())
-		}
-		if !inPlace.Running() {
-			break
-		}
-		if !inPlace.StepInPlace() {
-			t.Fatalf("step %d: fault-free execution refused in-place step at pc %d", step, inPlace.PC)
-		}
-		succs := cloned.Successors()
-		if len(succs) != 1 {
-			t.Fatalf("step %d: fault-free execution forked (%d successors)", step, len(succs))
-		}
-		cloned = succs[0]
-	}
-	if inPlace.Outcome() != OutcomeNormal {
-		t.Fatalf("outcome %v (%v)", inPlace.Outcome(), inPlace.Exc)
-	}
-}
 
 // TestStepInPlaceRefusesForks ensures the fast path declines exactly where
 // nondeterminism begins and leaves the state unmodified.
@@ -92,5 +36,126 @@ zero:	halt
 	succs := st.Successors()
 	if len(succs) != 2 {
 		t.Fatalf("branch on err: %d successors, want 2", len(succs))
+	}
+}
+
+// termInvariant reports a violation of the store invariant the in-place step
+// relies on: a location holding a concrete value has no term ($0, which
+// always reads 0, excepted).
+func termInvariant(s *State) error {
+	for _, loc := range s.Sym.Locs() {
+		switch {
+		case loc.IsMem:
+			if v, ok := s.Mem[loc.Addr]; !ok || !v.IsErr() {
+				return fmt.Errorf("pc %d: %s holds %v (defined %v) but has term %v", s.PC, loc, v, ok, s.Sym.TermOrFresh(loc))
+			}
+		case loc.Reg != isa.RegZero && !s.Regs[loc.Reg].IsErr():
+			return fmt.Errorf("pc %d: %s holds %v but has a term", s.PC, loc, s.Regs[loc.Reg])
+		}
+	}
+	return nil
+}
+
+// TestTermInvariantInjectedSearch asserts the term invariant after every
+// step of injected tcas and replace explorations: a sample of register
+// injections, each explored breadth-first to a state cap.
+func TestTermInvariantInjectedSearch(t *testing.T) {
+	type app struct {
+		prog  *isa.Program
+		input []int64
+	}
+	apps := []app{
+		{tcas.Program(), tcas.UpwardInput().Slice()},
+		{replace.Program(), replace.Input("[a-c]x*", "<&>", "axx b cx")},
+	}
+	for _, a := range apps {
+		checked := 0
+		for pc := 0; pc < a.prog.Len(); pc += 7 {
+			srcs := a.prog.At(pc).SrcRegs()
+			if len(srcs) == 0 {
+				continue
+			}
+			opts := DefaultOptions()
+			opts.Watchdog = 4000
+			st := NewState(a.prog, nil, a.input, opts)
+			for st.Running() && st.PC != pc {
+				if !st.StepInPlace() {
+					t.Fatalf("%s: fault-free prefix forked at pc %d", a.prog.Name, st.PC)
+				}
+			}
+			if !st.Running() {
+				continue
+			}
+			st.Inject(isa.RegLoc(srcs[0]))
+			frontier := []*State{st}
+			for states := 0; len(frontier) > 0 && states < 3000; states++ {
+				cur := frontier[0]
+				frontier = frontier[1:]
+				if err := termInvariant(cur); err != nil {
+					t.Fatalf("%s, err in %s at @%d: %v", a.prog.Name, srcs[0], pc, err)
+				}
+				checked++
+				if !cur.Running() {
+					continue
+				}
+				if cur.StepInPlace() {
+					frontier = append(frontier, cur)
+					continue
+				}
+				frontier = append(frontier, cur.Successors()...)
+			}
+		}
+		if checked < 1000 {
+			t.Fatalf("%s: only %d states checked", a.prog.Name, checked)
+		}
+	}
+}
+
+// TestSuccessorsPersistent: Successors never mutates its receiver, and its
+// successors are independent of it. Every successor of every kindCase is
+// stepped to termination (or a step cap) and appended to, with the
+// receiver's output sitting in a slice with spare capacity — the case an
+// aliased append would corrupt — and the receiver's key must not move.
+func TestSuccessorsPersistent(t *testing.T) {
+	for _, c := range kindCases {
+		s := kindState(t, c)
+		out := make([]machine.OutItem, 0, 8)
+		s.Out = append(out, machine.OutItem{IsStr: true, Str: "before"})
+		before := s.Key()
+		for _, succ := range s.Successors() {
+			succ.Out = append(succ.Out, machine.OutItem{IsStr: true, Str: "mine"})
+			for i := 0; i < 20 && succ.Running(); i++ {
+				if !succ.StepInPlace() {
+					succ = succ.Successors()[0]
+				}
+			}
+			succ.Out = append(succ.Out, machine.OutItem{Val: isa.Int(9)})
+			if s.Key() != before {
+				t.Fatalf("%s: stepping a successor moved the receiver:\n%s\n%s", c.name, before, s.Key())
+			}
+		}
+	}
+}
+
+// TestCloneOutputIndependent: clones share the output prefix, yet the
+// parent and two clones each appending see only their own output.
+func TestCloneOutputIndependent(t *testing.T) {
+	u := asm.MustParse("out", "\thalt\n")
+	p := NewState(u.Program, u.Detectors, nil, DefaultOptions())
+	p.Out = append(make([]machine.OutItem, 0, 4), machine.OutItem{IsStr: true, Str: "a"})
+	c1, c2 := p.Clone(), p.Clone()
+	c1.Out = append(c1.Out, machine.OutItem{IsStr: true, Str: "1"})
+	c2.Out = append(c2.Out, machine.OutItem{IsStr: true, Str: "2"})
+	p.Out = append(p.Out, machine.OutItem{IsStr: true, Str: "p"})
+	c3 := c1.Clone()
+	c1.Out = append(c1.Out, machine.OutItem{IsStr: true, Str: "x"})
+	c3.Out = append(c3.Out, machine.OutItem{IsStr: true, Str: "y"})
+	for _, tc := range []struct {
+		st   *State
+		want string
+	}{{p, "ap"}, {c1, "a1x"}, {c2, "a2"}, {c3, "a1y"}} {
+		if got := tc.st.OutputString(); got != tc.want {
+			t.Errorf("output %q, want %q", got, tc.want)
+		}
 	}
 }

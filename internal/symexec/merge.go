@@ -75,9 +75,10 @@ func MergeCompatible(a, b *State) bool {
 // behalf of every world of a merged state: it must be deterministic, must
 // not touch the symbolic store (no err operand, no err destination being
 // overwritten), must not append a trace event, and must not terminate the
-// state. The dispatch mirrors StepInPlace case by case; the equivalence is
-// pinned by TestShareableStepIsInvisible and, end to end, by
-// FuzzMergeEquivalence in the checker.
+// state. In StepInPlace's terms it is a step that takes only concrete-operand
+// paths, Kind by Kind; the equivalence is pinned by
+// TestShareableStepIsInvisible and, end to end, by FuzzMergeEquivalence in
+// the checker.
 //
 // The caller handles the watchdog separately (worlds disagree on Steps, so
 // watchdog proximity forces a split before this question is asked).
@@ -85,89 +86,56 @@ func (s *State) ShareableStep() bool {
 	if !s.Running() || !s.Prog.ValidPC(s.PC) {
 		return false
 	}
-	in := s.Prog.At(s.PC)
-
-	concReg := func(r isa.Reg) bool {
-		return r == isa.RegZero || !s.Regs[r].IsErr()
-	}
-
-	if bin, imm, ok := isa.ArithOp(in.Op); ok {
-		if !concReg(in.Rs) || !concReg(in.Rd) {
+	op := &s.Prog.Code()[s.PC]
+	conc := func(r isa.Reg) bool { return !s.Regs[r].IsErr() }
+	switch op.Kind {
+	case isa.KindAdd, isa.KindSub, isa.KindMult, isa.KindDiv, isa.KindMod, isa.KindAnd,
+		isa.KindOr, isa.KindXor, isa.KindNor, isa.KindSll, isa.KindSrl, isa.KindSra:
+		x, y, ok := s.concreteOperands(op)
+		if !ok || !conc(op.Rd) {
 			return false
-		}
-		xc, _ := s.regOperand(in.Rs).Val.Concrete()
-		var yc int64
-		if imm {
-			yc = in.Imm
-		} else {
-			if !concReg(in.Rt) {
-				return false
-			}
-			yc, _ = s.regOperand(in.Rt).Val.Concrete()
 		}
 		// Concrete division by zero raises (terminal): not shareable.
-		if _, err := isa.EvalBin(bin, xc, yc); err != nil {
+		bin, _ := op.Kind.Bin()
+		_, err := isa.EvalBin(bin, x, y)
+		return err == nil
+	case isa.KindSetEq, isa.KindSetNe, isa.KindSetGt, isa.KindSetLt, isa.KindSetGe, isa.KindSetLe:
+		_, _, ok := s.concreteOperands(op)
+		return ok && conc(op.Rd)
+	case isa.KindBranch:
+		_, _, ok := s.concreteOperands(op)
+		return ok
+	case isa.KindMov:
+		return conc(op.Rs) && conc(op.Rd)
+	case isa.KindLi:
+		return conc(op.Rd)
+	case isa.KindLd:
+		if !conc(op.Rs) || !conc(op.Rt) {
 			return false
 		}
-		return true
-	}
-
-	if _, imm, ok := isa.CmpForOp(in.Op); ok {
-		if !concReg(in.Rs) || !concReg(in.Rd) {
-			return false
-		}
-		if !imm && !concReg(in.Rt) {
-			return false
-		}
-		return true
-	}
-
-	switch in.Op {
-	case isa.OpMov:
-		return concReg(in.Rs) && concReg(in.Rd)
-	case isa.OpLi, isa.OpLui:
-		return concReg(in.Rd)
-	case isa.OpLd:
-		if !concReg(in.Rs) || !concReg(in.Rt) {
-			return false
-		}
-		bc, _ := s.regOperand(in.Rs).Val.Concrete()
-		v, defined := s.Mem[bc+in.Imm]
 		// Undefined address raises (terminal); an err cell loads a term.
+		v, defined := s.Mem[s.Regs[op.Rs].MustConcrete()+op.Imm]
 		return defined && !v.IsErr()
-	case isa.OpSt:
-		if !concReg(in.Rs) || !concReg(in.Rt) {
+	case isa.KindSt:
+		if !conc(op.Rs) || !conc(op.Rt) {
 			return false
 		}
-		bc, _ := s.regOperand(in.Rs).Val.Concrete()
 		// Overwriting an err cell clears its term (a store mutation).
-		if v, ok := s.Mem[bc+in.Imm]; ok && v.IsErr() {
-			return false
-		}
+		v, defined := s.Mem[s.Regs[op.Rs].MustConcrete()+op.Imm]
+		return !defined || !v.IsErr()
+	case isa.KindJmp, isa.KindPrints, isa.KindNop:
 		return true
-	case isa.OpBeq, isa.OpBne:
-		return concReg(in.Rs) && concReg(in.Rt)
-	case isa.OpBeqi, isa.OpBnei:
-		return concReg(in.Rs)
-	case isa.OpJmp:
-		return true
-	case isa.OpJal:
-		return concReg(isa.RegRA)
-	case isa.OpJr:
-		return concReg(in.Rs)
-	case isa.OpRead:
-		if s.InPos >= len(s.In) { // end of input raises (terminal)
-			return false
-		}
-		if s.In[s.InPos].IsErr() { // symbolic input value reaches the store
-			return false
-		}
-		return concReg(in.Rd)
-	case isa.OpPrint:
+	case isa.KindJal:
+		return conc(isa.RegRA)
+	case isa.KindJr:
+		return conc(op.Rs)
+	case isa.KindRead:
+		// End of input raises (terminal); a symbolic input value reaches
+		// the store.
+		return s.InPos < len(s.In) && !s.In[s.InPos].IsErr() && conc(op.Rd)
+	case isa.KindPrint:
 		// Printing err appends a trace event; concrete prints are silent.
-		return in.Rd == isa.RegZero || !s.Regs[in.Rd].IsErr()
-	case isa.OpPrints, isa.OpNop:
-		return true
+		return conc(op.Rd)
 	}
 	// halt, throw, check, and anything unknown: terminal, trace-noting, or
 	// store-dependent.

@@ -172,7 +172,9 @@ func (s *State) SetInput(vals []int64) {
 }
 
 // Clone returns a logically independent copy sharing immutable pieces
-// (program, detector table, input stream, trace prefix) eagerly and the
+// (program, detector table, input stream, trace prefix) eagerly, the output
+// stream as a full slice (Out is only ever appended to, and an append to a
+// slice at capacity reallocates, so neither side sees the other's), and the
 // mutable memory image and constraint store copy-on-write: both sides keep
 // referencing the same map until one of them writes, which copies first.
 // States of one search belong to one goroutine, so the sharing needs no
@@ -189,7 +191,7 @@ func (s *State) Clone() *State {
 		Sym:       s.Sym.Clone(),
 		In:        s.In,
 		InPos:     s.InPos,
-		Out:       make([]machine.OutItem, len(s.Out)),
+		Out:       s.Out[:len(s.Out):len(s.Out)],
 		Steps:     s.Steps,
 		Status:    s.Status,
 		Exc:       s.Exc,
@@ -198,7 +200,6 @@ func (s *State) Clone() *State {
 		memShared: true,
 		Stats:     s.Stats,
 	}
-	copy(out.Out, s.Out)
 	if len(s.Stuck) > 0 {
 		out.Stuck = make(map[isa.Loc]struct{}, len(s.Stuck))
 		for l := range s.Stuck {
@@ -310,46 +311,68 @@ func (s *State) stuck(loc isa.Loc) bool {
 }
 
 // setReg writes a propagation result into register r, maintaining the
-// invariant that every err-holding location has a term in the store.
-// Writes to a permanently faulty register are discarded.
+// invariant that every err-holding location has a term in the store and
+// every concrete one has none. Writes to $0 and to a permanently faulty
+// register are discarded.
 func (s *State) setReg(r isa.Reg, val isa.Value, term symbolic.Term, hasTerm bool) {
-	if r == isa.RegZero {
+	if !val.IsErr() {
+		s.setRegInt(r, val.MustConcrete())
 		return
 	}
-	if s.stuck(isa.RegLoc(r)) {
+	if r == isa.RegZero || s.stuck(isa.RegLoc(r)) {
 		return
 	}
 	s.Regs[r] = val
-	loc := isa.RegLoc(r)
-	if val.IsErr() {
-		if hasTerm {
-			s.Sym.SetTerm(loc, term)
-		} else {
-			s.Sym.SetTerm(loc, symbolic.FreshTerm(s.Sym.NewRoot()))
-		}
-	} else {
-		s.Sym.Clear(loc)
+	if !hasTerm {
+		term = symbolic.FreshTerm(s.Sym.NewRoot())
 	}
+	s.Sym.SetTerm(isa.RegLoc(r), term)
 }
 
 // setMem writes a propagation result into memory, maintaining the term
 // invariant. Writes to a permanently faulty word are discarded.
 func (s *State) setMem(addr int64, val isa.Value, term symbolic.Term, hasTerm bool) {
+	if !val.IsErr() {
+		s.setMemInt(addr, val.MustConcrete())
+		return
+	}
 	if s.stuck(isa.MemLoc(addr)) {
 		return
 	}
 	s.materializeMem()
 	s.Mem[addr] = val
-	loc := isa.MemLoc(addr)
-	if val.IsErr() {
-		if hasTerm {
-			s.Sym.SetTerm(loc, term)
-		} else {
-			s.Sym.SetTerm(loc, symbolic.FreshTerm(s.Sym.NewRoot()))
-		}
-	} else {
-		s.Sym.Clear(loc)
+	if !hasTerm {
+		term = symbolic.FreshTerm(s.Sym.NewRoot())
 	}
+	s.Sym.SetTerm(isa.MemLoc(addr), term)
+}
+
+// setRegInt writes a concrete value into register r. By the term invariant
+// only an err register can hold a term, so only overwriting err touches the
+// store. Writes to $0 and to a permanently faulty register are discarded.
+func (s *State) setRegInt(r isa.Reg, n int64) {
+	if r == isa.RegZero || (len(s.Stuck) > 0 && s.stuck(isa.RegLoc(r))) {
+		return
+	}
+	if s.Regs[r].IsErr() {
+		s.Sym.Clear(isa.RegLoc(r))
+	}
+	s.Regs[r] = isa.Int(n)
+}
+
+// setMemInt writes a concrete value into memory, touching the store only
+// when it overwrites err (see setRegInt).
+func (s *State) setMemInt(addr int64, n int64) {
+	if len(s.Stuck) > 0 && s.stuck(isa.MemLoc(addr)) {
+		return
+	}
+	s.materializeMem()
+	if s.Sym.HasTerms() {
+		if old, ok := s.Mem[addr]; ok && old.IsErr() {
+			s.Sym.Clear(isa.MemLoc(addr))
+		}
+	}
+	s.Mem[addr] = isa.Int(n)
 }
 
 // concretize sweeps err-holding locations whose constraints now pin their

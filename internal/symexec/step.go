@@ -3,114 +3,95 @@ package symexec
 import (
 	"fmt"
 
+	"symplfied/internal/detector"
 	"symplfied/internal/isa"
-	"symplfied/internal/machine"
 	"symplfied/internal/obs"
 	"symplfied/internal/symbolic"
 	"symplfied/internal/trace"
 )
 
-// Successors computes the state's rewrite successors. A terminated state has
-// none. Deterministic instructions yield one successor; instructions whose
-// outcome depends on an erroneous value yield one successor per
-// nondeterministic resolution, with path constraints recorded and
-// unsatisfiable resolutions pruned (the false-positive elimination of
-// Section 5.2).
+// Successors computes the state's rewrite successors without mutating the
+// receiver. A terminated state has none. A deterministic step yields one
+// successor: a clone advanced by StepInPlace. A step whose outcome depends
+// on an erroneous value yields one successor per nondeterministic
+// resolution, with path constraints recorded and unsatisfiable resolutions
+// pruned (the false-positive elimination of Section 5.2).
 func (s *State) Successors() []*State {
 	if !s.Running() {
 		return nil
 	}
-	if s.Steps >= s.Opts.Watchdog {
-		c := s.Clone()
-		c.raise(isa.ExcTimeout, fmt.Sprintf("watchdog after %d instructions", s.Steps))
-		s.Stats.CountWatchdog()
-		return []*State{c}
-	}
-	if !s.Prog.ValidPC(s.PC) {
-		c := s.Clone()
-		c.raise(isa.ExcIllegalInstr, fmt.Sprintf("fetch from %d", s.PC))
-		return []*State{c}
-	}
-	in := s.Prog.At(s.PC)
-
-	if bin, imm, ok := isa.ArithOp(in.Op); ok {
-		return s.stepArith(in, bin, imm)
-	}
-	if cmp, imm, ok := isa.CmpForOp(in.Op); ok {
-		return s.stepSetCmp(in, cmp, imm)
-	}
-	switch in.Op {
-	case isa.OpMov:
-		c := s.fork()
-		op := c.regOperand(in.Rs)
-		c.setReg(in.Rd, op.Val, op.Term, op.HasTerm)
-		c.PC++
-		return one(c)
-	case isa.OpLi:
-		c := s.fork()
-		c.setReg(in.Rd, isa.Int(in.Imm), symbolic.Term{}, false)
-		c.PC++
-		return one(c)
-	case isa.OpLui:
-		c := s.fork()
-		c.setReg(in.Rd, isa.Int(in.Imm<<16), symbolic.Term{}, false)
-		c.PC++
-		return one(c)
-	case isa.OpLd:
-		return s.stepLoad(in)
-	case isa.OpSt:
-		return s.stepStore(in)
-	case isa.OpBeq, isa.OpBne, isa.OpBeqi, isa.OpBnei:
-		return s.stepBranch(in)
-	case isa.OpJmp:
-		c := s.fork()
-		c.PC = in.Target
-		return one(c)
-	case isa.OpJal:
-		c := s.fork()
-		c.setReg(isa.RegRA, isa.Int(int64(s.PC+1)), symbolic.Term{}, false)
-		c.PC = in.Target
-		return one(c)
-	case isa.OpJr:
-		return s.stepJr(in)
-	case isa.OpRead:
-		return s.stepRead(in)
-	case isa.OpPrint:
-		c := s.fork()
-		v := c.Regs[in.Rd]
-		if in.Rd == isa.RegZero {
-			v = isa.Int(0)
-		}
-		c.Out = append(c.Out, machine.OutItem{Val: v})
-		if v.IsErr() {
-			c.note(trace.KindOutput, "printed err")
-		}
-		c.PC++
-		return one(c)
-	case isa.OpPrints:
-		c := s.fork()
-		c.Out = append(c.Out, machine.OutItem{IsStr: true, Str: in.Str})
-		c.PC++
-		return one(c)
-	case isa.OpNop:
-		c := s.fork()
-		c.PC++
-		return one(c)
-	case isa.OpHalt:
-		c := s.fork()
-		c.Status = machine.StatusHalted
-		c.note(trace.KindHalt, "halt (output %q)", c.OutputString())
-		return one(c)
-	case isa.OpThrow:
-		c := s.fork()
-		c.raise(isa.ExcThrow, in.Str)
-		return one(c)
-	case isa.OpCheck:
-		return s.stepCheck(in)
+	if out, forked := s.expand(); forked {
+		return out
 	}
 	c := s.Clone()
-	c.raise(isa.ExcIllegalInstr, fmt.Sprintf("unsupported opcode %s", in.Op))
-	return one(c)
+	c.StepInPlace()
+	return []*State{c}
+}
+
+// expand builds the successors of a step that forks: an undecided
+// comparison, branch or detector, a division by an erroneous divisor, or a
+// load, store or jr through an erroneous register. It reports false, and
+// builds nothing, when the step is deterministic (StepInPlace's business),
+// so a caller whose StepInPlace just declined pays no clone beyond the forks.
+func (s *State) expand() (out []*State, forked bool) {
+	if s.Steps >= s.Opts.Watchdog || !s.Prog.ValidPC(s.PC) {
+		return nil, false
+	}
+	op := &s.Prog.Code()[s.PC]
+	switch op.Kind {
+	case isa.KindDiv, isa.KindMod:
+		if op.UseImm || !s.Regs[op.Rt].IsErr() {
+			return nil, false
+		}
+		return s.forkDivisor(op), true
+	case isa.KindSetEq, isa.KindSetNe, isa.KindSetGt, isa.KindSetLt, isa.KindSetGe, isa.KindSetLe:
+		cmp, _ := op.Kind.Cmp()
+		if _, decided := s.decide(op, cmp); decided {
+			return nil, false
+		}
+		return s.forkSetCmp(op, cmp), true
+	case isa.KindBranch:
+		if _, decided := s.decide(op, branchCmp(op)); decided {
+			return nil, false
+		}
+		return s.forkBranch(op), true
+	case isa.KindLd:
+		if !s.Regs[op.Rs].IsErr() {
+			return nil, false
+		}
+		return s.forkLoad(op), true
+	case isa.KindSt:
+		if !s.Regs[op.Rs].IsErr() {
+			return nil, false
+		}
+		return s.forkStore(op), true
+	case isa.KindJr:
+		if !s.Regs[op.Rs].IsErr() {
+			return nil, false
+		}
+		return s.forkJr(op), true
+	case isa.KindCheck:
+		det, target, expr, err := s.detectorOperands(op.Imm)
+		if err != nil || symbolic.DecideCmp(det.Cmp, target, expr) != symbolic.CmpFork {
+			return nil, false
+		}
+		return s.forkCheck(det, target, expr), true
+	}
+	return nil, false
+}
+
+// detectorOperands looks detector id up and evaluates both sides of its
+// comparison. det is nil when the detector is unknown.
+func (s *State) detectorOperands(id int64) (det *detector.Detector, target, expr symbolic.Operand, err error) {
+	det, ok := s.Dets.Lookup(id)
+	if !ok {
+		return nil, target, expr, fmt.Errorf("unknown detector %d", id)
+	}
+	if target, err = det.TargetOperand(s); err != nil {
+		return det, target, expr, err
+	}
+	expr, err = det.EvalExpr(s, s.Opts.AffineTracking)
+	return det, target, expr, err
 }
 
 // fork clones the state and accounts one executed instruction.
@@ -119,8 +100,6 @@ func (s *State) fork() *State {
 	c.Steps++
 	return c
 }
-
-func one(c *State) []*State { return []*State{c} }
 
 // constrainOperand conjoins "op cmp rhs" onto the path, returning false when
 // the path becomes infeasible. Operands of unknown lineage yield no
@@ -179,16 +158,11 @@ func (s *State) applyCmp(cmp isa.Cmp, x, y symbolic.Operand, why string) bool {
 	}
 }
 
-// forkCmp resolves "x cmp y", producing the surviving true- and false-case
-// states (either may be nil after pruning). kind tags the fork in ExecStats
-// (obs.ForkCmp for ordinary comparisons, obs.ForkDetector for CHECKs).
+// forkCmp resolves an undecided "x cmp y", producing the surviving true-
+// and false-case states (either may be nil after pruning). kind tags the
+// fork in ExecStats (obs.ForkCmp for ordinary comparisons, obs.ForkDetector
+// for CHECKs).
 func (s *State) forkCmp(kind string, cmp isa.Cmp, x, y symbolic.Operand, why string) (tState, fState *State) {
-	switch symbolic.DecideCmp(cmp, x, y) {
-	case symbolic.CmpTrue:
-		return s.fork(), nil
-	case symbolic.CmpFalse:
-		return nil, s.fork()
-	}
 	t := s.fork()
 	t.note(trace.KindFork, "%s: assume %s", why, cmp)
 	if !t.applyCmp(cmp, x, y, why) {
@@ -207,92 +181,62 @@ func (s *State) forkCmp(kind string, cmp isa.Cmp, x, y symbolic.Operand, why str
 	return t, f
 }
 
-func (s *State) operandPair(in isa.Instr, imm bool) (x, y symbolic.Operand) {
-	x = s.regOperand(in.Rs)
-	if imm {
-		y = symbolic.ConcreteOperand(in.Imm)
+// why names the instruction at the current pc for fork notes.
+func (s *State) why() string {
+	return fmt.Sprintf("%s at %s", s.Prog.At(s.PC).Op, s.Prog.Locate(s.PC))
+}
+
+// forkDivisor splits a division by an erroneous divisor. Paper:
+// eq I / err = if isEqual(err, 0) then throw "div-zero" else err.
+func (s *State) forkDivisor(op *isa.Lowered) []*State {
+	divisor := s.regOperand(op.Rt)
+	var out []*State
+	zero := s.fork()
+	zero.note(trace.KindFork, "divisor err: assume == 0")
+	if zero.constrainOperand(divisor, isa.CmpEq, 0, "div-zero case") {
+		zero.raise(isa.ExcDivZero, "erroneous divisor assumed zero")
+		out = append(out, zero)
 	} else {
-		y = s.regOperand(in.Rt)
+		s.Stats.CountPrune()
 	}
-	return x, y
+	nz := s.fork()
+	nz.note(trace.KindFork, "divisor err: assume != 0")
+	if nz.constrainOperand(divisor, isa.CmpNe, 0, "div-nonzero case") {
+		nz.setReg(op.Rd, isa.Err(), symbolic.Term{}, false)
+		nz.PC++
+		out = append(out, nz)
+	} else {
+		s.Stats.CountPrune()
+	}
+	if len(out) == 2 {
+		s.Stats.CountFork(obs.ForkDivisor)
+	}
+	return out
 }
 
-func (s *State) stepArith(in isa.Instr, bin isa.BinOp, imm bool) []*State {
-	x, y := s.operandPair(in, imm)
-	res := symbolic.PropagateBin(bin, x, y, s.Opts.AffineTracking)
-	switch {
-	case res.DivZero:
-		c := s.fork()
-		c.raise(isa.ExcDivZero, "")
-		return one(c)
-	case res.ForkOnDivisor:
-		// Paper: eq I / err = if isEqual(err, 0) then throw "div-zero" else err.
-		var out []*State
-		zero := s.fork()
-		zero.note(trace.KindFork, "divisor err: assume == 0")
-		if zero.constrainOperand(res.Divisor, isa.CmpEq, 0, "div-zero case") {
-			zero.raise(isa.ExcDivZero, "erroneous divisor assumed zero")
-			out = append(out, zero)
-		} else {
-			s.Stats.CountPrune()
-		}
-		nz := s.fork()
-		nz.note(trace.KindFork, "divisor err: assume != 0")
-		if nz.constrainOperand(res.Divisor, isa.CmpNe, 0, "div-nonzero case") {
-			nz.setReg(in.Rd, isa.Err(), symbolic.Term{}, false)
-			nz.PC++
-			out = append(out, nz)
-		} else {
-			s.Stats.CountPrune()
-		}
-		if len(out) == 2 {
-			s.Stats.CountFork(obs.ForkDivisor)
-		}
-		return out
-	default:
-		c := s.fork()
-		c.setReg(in.Rd, res.Val, res.Term, res.HasTerm)
-		c.PC++
-		return one(c)
-	}
-}
-
-func (s *State) stepSetCmp(in isa.Instr, cmp isa.Cmp, imm bool) []*State {
-	x, y := s.operandPair(in, imm)
-	why := fmt.Sprintf("%s at %s", in.Op, s.Prog.Locate(s.PC))
-	t, f := s.forkCmp(obs.ForkCmp, cmp, x, y, why)
+func (s *State) forkSetCmp(op *isa.Lowered, cmp isa.Cmp) []*State {
+	x, y := s.operands(op)
+	t, f := s.forkCmp(obs.ForkCmp, cmp, x, y, s.why())
 	var out []*State
 	if t != nil {
-		t.setReg(in.Rd, isa.Int(1), symbolic.Term{}, false)
+		t.setRegInt(op.Rd, 1)
 		t.PC++
 		out = append(out, t)
 	}
 	if f != nil {
-		f.setReg(in.Rd, isa.Int(0), symbolic.Term{}, false)
+		f.setRegInt(op.Rd, 0)
 		f.PC++
 		out = append(out, f)
 	}
 	return out
 }
 
-func (s *State) stepBranch(in isa.Instr) []*State {
-	x := s.regOperand(in.Rs)
-	var y symbolic.Operand
-	switch in.Op {
-	case isa.OpBeq, isa.OpBne:
-		y = s.regOperand(in.Rt)
-	default:
-		y = symbolic.ConcreteOperand(in.Imm)
-	}
-	cmp := isa.CmpEq
-	if in.Op == isa.OpBne || in.Op == isa.OpBnei {
-		cmp = isa.CmpNe
-	}
-	why := fmt.Sprintf("%s at %s", in.Op, s.Prog.Locate(s.PC))
-	t, f := s.forkCmp(obs.ForkCmp, cmp, x, y, why)
+func (s *State) forkBranch(op *isa.Lowered) []*State {
+	x, y := s.operands(op)
+	t, f := s.forkCmp(obs.ForkCmp, branchCmp(op), x, y, s.why())
 	var out []*State
 	if t != nil {
-		t.PC = in.Target
+		t.PC = op.Target
 		out = append(out, t)
 	}
 	if f != nil {
@@ -320,31 +264,18 @@ func sortInt64s(a []int64) {
 	}
 }
 
-func (s *State) stepLoad(in isa.Instr) []*State {
-	base := s.regOperand(in.Rs)
-	if bc, ok := base.Val.Concrete(); ok {
-		addr := bc + in.Imm
-		c := s.fork()
-		op, defined := c.memOperand(addr)
-		if !defined {
-			c.raise(isa.ExcIllegalAddr, fmt.Sprintf("load from undefined %d", addr))
-			return one(c)
-		}
-		c.setReg(in.Rt, op.Val, op.Term, op.HasTerm)
-		c.PC++
-		return one(c)
-	}
-
-	// Erroneous pointer (Section 5.2, memory-handling sub-model): either the
-	// program "retrieves the contents of an arbitrary memory location or
-	// throws an illegal-address exception".
+// forkLoad resolves a load through an erroneous pointer (Section 5.2,
+// memory-handling sub-model): the program either "retrieves the contents of
+// an arbitrary memory location or throws an illegal-address exception".
+func (s *State) forkLoad(op *isa.Lowered) []*State {
+	base := s.regOperand(op.Rs)
 	var out []*State
 
 	exc := s.fork()
 	exc.note(trace.KindFork, "load through erroneous pointer: assume undefined address")
 	feasible := true
 	for _, a := range s.definedAddrsSorted() {
-		if !exc.constrainOperand(base, isa.CmpNe, a-in.Imm, "address not defined") {
+		if !exc.constrainOperand(base, isa.CmpNe, a-op.Imm, "address not defined") {
 			feasible = false
 			break
 		}
@@ -359,13 +290,12 @@ func (s *State) stepLoad(in isa.Instr) []*State {
 	if s.Opts.SymbolicMem {
 		c := s.fork()
 		c.note(trace.KindFork, "load through erroneous pointer: symbolic result")
-		c.setReg(in.Rt, isa.Err(), symbolic.Term{}, false)
+		c.setReg(op.Rt, isa.Err(), symbolic.Term{}, false)
 		c.PC++
 		out = append(out, c)
 		s.countFan(obs.ForkLoad, len(out))
 		return out
 	}
-
 	addrs := s.definedAddrsSorted()
 	truncated := false
 	if s.Opts.MaxMemTargets > 0 && len(addrs) > s.Opts.MaxMemTargets {
@@ -373,18 +303,18 @@ func (s *State) stepLoad(in isa.Instr) []*State {
 		truncated = true
 	}
 	for _, a := range addrs {
-		if !s.feasibleEq(base, a-in.Imm) {
+		if !s.feasibleEq(base, a-op.Imm) {
 			s.Stats.CountPrune()
 			continue
 		}
 		c := s.fork()
-		if !c.constrainOperand(base, isa.CmpEq, a-in.Imm, "load resolves") {
+		if !c.constrainOperand(base, isa.CmpEq, a-op.Imm, "load resolves") {
 			s.Stats.CountPrune()
 			continue
 		}
 		c.note(trace.KindFork, "load through erroneous pointer resolved to %d", a)
-		op, _ := c.memOperand(a)
-		c.setReg(in.Rt, op.Val, op.Term, op.HasTerm)
+		v, _ := c.memOperand(a)
+		c.setReg(op.Rt, v.Val, v.Term, v.HasTerm)
 		c.PC++
 		c.Truncated = c.Truncated || truncated
 		out = append(out, c)
@@ -429,18 +359,12 @@ func (s *State) countFan(kind string, n int) {
 	}
 }
 
-func (s *State) stepStore(in isa.Instr) []*State {
-	base := s.regOperand(in.Rs)
-	val := s.regOperand(in.Rt)
-	if bc, ok := base.Val.Concrete(); ok {
-		c := s.fork()
-		c.setMem(bc+in.Imm, val.Val, val.Term, val.HasTerm)
-		c.PC++
-		return one(c)
-	}
-
-	// Erroneous pointer: "either overwrites the contents of an arbitrary
-	// memory location, or creates a new value in memory" (Section 5.2).
+// forkStore resolves a store through an erroneous pointer, which "either
+// overwrites the contents of an arbitrary memory location, or creates a new
+// value in memory" (Section 5.2).
+func (s *State) forkStore(op *isa.Lowered) []*State {
+	base := s.regOperand(op.Rs)
+	val := s.regOperand(op.Rt)
 	var out []*State
 	addrs := s.definedAddrsSorted()
 	enumAddrs := addrs
@@ -450,12 +374,12 @@ func (s *State) stepStore(in isa.Instr) []*State {
 		truncated = true
 	}
 	for _, a := range enumAddrs {
-		if !s.feasibleEq(base, a-in.Imm) {
+		if !s.feasibleEq(base, a-op.Imm) {
 			s.Stats.CountPrune()
 			continue
 		}
 		c := s.fork()
-		if !c.constrainOperand(base, isa.CmpEq, a-in.Imm, "store resolves") {
+		if !c.constrainOperand(base, isa.CmpEq, a-op.Imm, "store resolves") {
 			s.Stats.CountPrune()
 			continue
 		}
@@ -473,7 +397,7 @@ func (s *State) stepStore(in isa.Instr) []*State {
 	fresh.note(trace.KindFork, "store through erroneous pointer: assume fresh location")
 	feasible := true
 	for _, a := range addrs {
-		if !fresh.constrainOperand(base, isa.CmpNe, a-in.Imm, "address not previously defined") {
+		if !fresh.constrainOperand(base, isa.CmpNe, a-op.Imm, "address not previously defined") {
 			feasible = false
 			break
 		}
@@ -495,17 +419,11 @@ func (s *State) stepStore(in isa.Instr) []*State {
 	return out
 }
 
-func (s *State) stepJr(in isa.Instr) []*State {
-	target := s.regOperand(in.Rs)
-	if tc, ok := target.Val.Concrete(); ok {
-		c := s.fork()
-		c.PC = int(tc)
-		return one(c)
-	}
-
-	// Erroneous control target (Section 5.2): "the program either jumps to
-	// an arbitrary (but valid) code location or throws an illegal
-	// instruction exception".
+// forkJr resolves a jump through an erroneous target (Section 5.2): "the
+// program either jumps to an arbitrary (but valid) code location or throws
+// an illegal instruction exception".
+func (s *State) forkJr(op *isa.Lowered) []*State {
+	target := s.regOperand(op.Rs)
 	var out []*State
 	limit := s.Prog.Len()
 	truncated := false
@@ -540,44 +458,7 @@ func (s *State) stepJr(in isa.Instr) []*State {
 	return out
 }
 
-func (s *State) stepRead(in isa.Instr) []*State {
-	c := s.fork()
-	if c.InPos >= len(c.In) {
-		c.raise(isa.ExcThrow, "end of input")
-		return one(c)
-	}
-	v := c.In[c.InPos]
-	c.InPos++
-	if n, ok := v.Concrete(); ok {
-		c.setReg(in.Rd, isa.Int(n), symbolic.Term{}, false)
-	} else {
-		c.setReg(in.Rd, isa.Err(), symbolic.Term{}, false)
-	}
-	c.PC++
-	return one(c)
-}
-
-func (s *State) stepCheck(in isa.Instr) []*State {
-	det, ok := s.Dets.Lookup(in.Imm)
-	if !ok {
-		c := s.fork()
-		c.raise(isa.ExcThrow, fmt.Sprintf("unknown detector %d", in.Imm))
-		return one(c)
-	}
-	target, err := det.TargetOperand(s)
-	if err != nil {
-		c := s.fork()
-		c.raise(isa.ExcThrow, err.Error())
-		c.Exc.Detector = det.ID
-		return one(c)
-	}
-	expr, err := det.EvalExpr(s, s.Opts.AffineTracking)
-	if err != nil {
-		c := s.fork()
-		c.raise(isa.ExcThrow, err.Error())
-		c.Exc.Detector = det.ID
-		return one(c)
-	}
+func (s *State) forkCheck(det *detector.Detector, target, expr symbolic.Operand) []*State {
 	why := fmt.Sprintf("detector %d at %s", det.ID, s.Prog.Locate(s.PC))
 	pass, fail := s.forkCmp(obs.ForkDetector, det.Cmp, target, expr, why)
 	var out []*State
