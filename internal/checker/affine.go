@@ -2,6 +2,7 @@ package checker
 
 import (
 	"symplfied/internal/isa"
+	"symplfied/internal/symbolic"
 	"symplfied/internal/symexec"
 )
 
@@ -28,7 +29,8 @@ import (
 //     the identical memory cells with identical values, and transforms the
 //     tainted registers by the same linear map A with the same offset.
 //
-//   - Numerically (the verify lap in runSingle): the per-lap delta vector d
+//   - Numerically (the verify lap in runSingle): the lap mints no root and
+//     leaves the constraint store unchanged, and the per-lap delta vector d
 //     satisfies A·d = d. Because the delta evolves linearly (dₙ₊₁ = A·dₙ;
 //     the offset cancels), observing two consecutive equal deltas proves
 //     dₙ = d for every future lap, so regs(n laps) = regs + n·d. The
@@ -50,7 +52,18 @@ type affineProbe struct {
 	window []int // executed pc sequence of one lap
 	delta  [isa.NumRegs]int64
 	regs0  [isa.NumRegs]isa.Value
-	idx    int // next window position the verify lap must execute
+	sym    uint64 // storeHash at the lap boundary
+	idx    int    // next window position the verify lap must execute
+}
+
+// storeHash hashes a constraint store's content. The verify lap must leave
+// the store as it found it: the delta covers concrete registers only, and a
+// lap that keeps rewriting an err location's term (say $26 = $26 + e#0)
+// would otherwise be extrapolated with the term frozen.
+func storeHash(s *symbolic.Store) uint64 {
+	h := symbolic.NewHash64()
+	s.KeyHash(&h)
+	return h.Sum()
 }
 
 // lapDelta computes the per-register boundary delta between two register

@@ -311,6 +311,7 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 			cpHash  uint64
 			cpSteps int
 			cpRegs  [isa.NumRegs]isa.Value
+			cpRoots symbolic.RootID
 			window  []int
 			probe   *affineProbe
 			misses  = 0
@@ -353,7 +354,8 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 					// Back at the lap boundary: the lap is affine iff the
 					// delta repeated exactly (delta evolution is linear, so
 					// one repeat proves every future lap's delta equal).
-					if d2, ok := lapDelta(&probe.regs0, &cur.Regs); ok && d2 == probe.delta {
+					if d2, ok := lapDelta(&probe.regs0, &cur.Regs); ok && d2 == probe.delta &&
+						cur.Sym.RootsMinted() == cpRoots && storeHash(cur.Sym) == probe.sym {
 						l := len(probe.window)
 						if k := (w - 1 - cur.Steps) / l; k > 0 {
 							applyAffine(cur, &probe.delta, k)
@@ -367,7 +369,15 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 				continue
 			}
 			if cur.PC == cpPC && cur.Trace == cpTrace {
-				if cur.LoopHash() == cpHash {
+				// A lap that minted fresh roots is never accelerated:
+				// skipping laps would skip their numbers, and every later
+				// root would be numbered differently from the unmerged run.
+				// Otherwise registers, the cheap and usually decisive part
+				// of the configuration (a live counter differs every lap),
+				// are compared before the rest is hashed.
+				if cur.Sym.RootsMinted() != cpRoots {
+					cpPC = -1
+				} else if cur.Regs == cpRegs && cur.LoopHash() == cpHash {
 					// The configuration recurred with only Steps advanced
 					// inside a deterministic event-free run: every further
 					// lap is identical. Fast-forward whole laps, staying
@@ -393,6 +403,7 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 								window: append([]int(nil), window...),
 								delta:  d,
 								regs0:  cur.Regs,
+								sym:    storeHash(cur.Sym),
 							}
 						}
 					}
@@ -400,7 +411,7 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 			}
 			if probe == nil && run >= nextCP {
 				cpPC, cpTrace, cpHash, cpSteps = cur.PC, cur.Trace, cur.LoopHash(), cur.Steps
-				cpRegs = cur.Regs
+				cpRegs, cpRoots = cur.Regs, cur.Sym.RootsMinted()
 				window = window[:0]
 				misses = 0
 				for nextCP <= run {
@@ -460,47 +471,27 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 		return true
 	}
 
-	// flushDeferred fuses the parked states: group by skeleton hash in
-	// insertion order, confirm each grouping with the exact comparison (a
-	// 64-bit collision can never fuse different states), and re-queue groups
-	// of two or more as merged entries, loners unchanged.
+	// flushDeferred fuses the parked states (groupParked) and re-queues
+	// groups of two or more as merged entries, loners unchanged.
 	flushDeferred := func() {
-		type group struct{ members []*mentry }
-		var order []*group
-		byHash := make(map[uint64][]*group)
-		for _, e := range deferred {
-			h := e.st.SkeletonHash()
-			placed := false
-			for _, g := range byHash[h] {
-				if symexec.MergeCompatible(g.members[0].st, e.st) {
-					g.members = append(g.members, e)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				g := &group{members: []*mentry{e}}
-				byHash[h] = append(byHash[h], g)
-				order = append(order, g)
-			}
-		}
+		groups := groupParked(deferred)
 		deferred = deferred[:0]
-		for _, g := range order {
-			if len(g.members) == 1 {
-				e := g.members[0]
+		for _, g := range groups {
+			if len(g) == 1 {
+				e := g[0]
 				e.skipVisited = true
 				frontier = append(frontier, e)
 				continue
 			}
-			rep := g.members[0]
+			rep := g[0]
 			merged := &mentry{
 				st:          rep.st,
 				repSteps0:   rep.st.Steps,
 				skipVisited: true,
 				defersSeen:  rep.defersSeen,
 			}
-			merged.worlds = make([]mworld, len(g.members))
-			for i, m := range g.members {
+			merged.worlds = make([]mworld, len(g))
+			for i, m := range g {
 				merged.worlds[i] = mworld{sym: m.st.Sym, tr: m.st.Trace, steps: m.st.Steps}
 				for _, pc := range m.defersSeen {
 					if !merged.deferredAt(pc) {
@@ -546,6 +537,48 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 		syncFrontier()
 	}
 	return nil
+}
+
+// groupParked partitions parked states into merge groups by the exact
+// skeleton comparison (symexec.MergeCompatible): groups in order of their
+// first member's arrival, members in arrival order. Only groups in the same
+// skeletonBucket are compared, and no whole state is hashed.
+func groupParked(parked []*mentry) [][]*mentry {
+	var groups [][]*mentry
+	byBucket := make(map[uint64][]int) // bucket -> indexes into groups
+	for _, e := range parked {
+		h := skeletonBucket(e.st)
+		placed := false
+		for _, gi := range byBucket[h] {
+			if symexec.MergeCompatible(groups[gi][0].st, e.st) {
+				groups[gi] = append(groups[gi], e)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			byBucket[h] = append(byBucket[h], len(groups))
+			groups = append(groups, []*mentry{e})
+		}
+	}
+	return groups
+}
+
+// skeletonBucket digests the pc and registers, with err as one class, the
+// way symexec.MergeCompatible compares them: merge-compatible states always
+// share a bucket, so grouping within buckets finds exactly the groups a
+// scan over all parked states would. MergeCompatible is an equivalence, so
+// at most one group per bucket can accept a state.
+func skeletonBucket(s *symexec.State) uint64 {
+	h := uint64(s.PC)
+	for _, v := range s.Regs {
+		x := uint64(0x9e3779b97f4a7c15) // err
+		if n, ok := v.Concrete(); ok {
+			x = uint64(n)
+		}
+		h = (h ^ x) * 0x100000001b3
+	}
+	return h
 }
 
 // checkMergedExploration is the SYMPLFIED_CHECK_MERGING assertion: re-explore

@@ -495,6 +495,22 @@ dispatch:
 			break
 		}
 	}
+	// A cancel stops the replay at the first interrupted injection, but the
+	// pool ran later injections concurrently: the cancel cut some short and
+	// let others finish. Pool the work of every one that settled (the task
+	// is partial either way), so a cancel never discards work already done.
+	if ctx.Err() != nil && taskErr == nil && (interrupted || len(irs) > 0 && irs[len(irs)-1].Interrupted) {
+		for j := len(irs); j < len(slots); j++ {
+			if sl := slots[j]; sl.settled && sl.err == nil {
+				ir := sl.ir
+				if left := maxFindings - findings; maxFindings > 0 && len(ir.Findings) > left {
+					ir.Findings = ir.Findings[:max(left, 0)]
+				}
+				irs = append(irs, ir)
+				findings += len(ir.Findings)
+			}
+		}
+	}
 	rep := PoolReports(task, irs, maxFindings)
 	if interrupted {
 		rep.Interrupted = true
@@ -509,7 +525,9 @@ dispatch:
 // PoolReports folds a task's per-injection reports (in execution order) into
 // its TaskReport, replaying runTask's accounting: tallies accumulate, a
 // panicked injection is counted and skipped, an interrupted or
-// budget-exhausted injection ends the task incomplete, and the finding cap
+// budget-exhausted injection ends the task incomplete (a cancelled parallel
+// sweep ships the other injections it settled after the interrupted one;
+// only their tallies are pooled), and the finding cap
 // counts the task completed (the paper counts finding-capped tasks as
 // completed — they returned results). It is a pure function of its inputs,
 // so a coordinator pooling reports posted by a remote worker derives the
@@ -545,9 +563,9 @@ func PoolReports(task Task, irs []checker.InjectionReport, maxFindings int) Task
 			rep.Panics++
 			continue
 		}
-		if ir.Interrupted {
+		if rep.Interrupted || ir.Interrupted {
 			rep.Interrupted = true
-			return rep // partial tallies pooled, task marked interrupted
+			continue // partial tallies pooled, task marked interrupted
 		}
 		if ir.BudgetExhausted {
 			return rep // this injection alone blew the budget: incomplete

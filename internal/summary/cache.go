@@ -8,11 +8,19 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"symplfied/internal/detector"
+	"symplfied/internal/fingerprint"
+	"symplfied/internal/isa"
 )
 
 // DefaultCacheCap bounds the in-memory LRU when NewCache is given no
 // capacity. Summaries are a few hundred bytes each, so this is generous.
 const DefaultCacheCap = 4096
+
+// finishedSetCap bounds the in-memory memo of finished summary sets (one
+// entry per program and detector table), evicted oldest first.
+const finishedSetCap = 16
 
 // Store is a second-level summary store behind the in-memory LRU: the
 // on-disk JSONL store, or the coordinator-served HTTP store the distributed
@@ -33,6 +41,18 @@ type Cache struct {
 	ll    *list.List // front = most recently used
 	byKey map[string]*list.Element
 	store Store
+	// sets memoizes finished summary sets by programKey, in memory only: a
+	// Store never sees them, so disk and fleet formats are unchanged.
+	sets     map[string]*finishedSet
+	setOrder []string // oldest first
+}
+
+// finishedSet is one memoized Build result. keys and names list the
+// functions' content keys and names in build order.
+type finishedSet struct {
+	set   *Set
+	keys  []string
+	names []string
 }
 
 type cacheEntry struct {
@@ -51,6 +71,59 @@ func NewCache(capacity int, store Store) *Cache {
 		ll:    list.New(),
 		byKey: make(map[string]*list.Element),
 		store: store,
+		sets:  make(map[string]*finishedSet),
+	}
+}
+
+// programKey is the memo key of a finished set: the whole program listing
+// (labels and function entries included) plus the detector table.
+func programKey(prog *isa.Program, dets *detector.Table) string {
+	h := fingerprint.New()
+	h.Line(keyVersion)
+	h.Program(prog)
+	h.Detectors(dets)
+	return h.Sum()
+}
+
+// finishedSet returns a Set sharing the finished build memoized under pk,
+// or nil when there is none or some function key no longer hits (the
+// rebuild then recomputes what was evicted). The returned Set's Stats are
+// its own and record every function as a hit, as a warm rebuild would.
+func (c *Cache) finishedSet(pk string) *Set {
+	c.mu.Lock()
+	f := c.sets[pk]
+	c.mu.Unlock()
+	if f == nil {
+		return nil
+	}
+	for _, k := range f.keys {
+		if _, ok := c.Get(k); !ok {
+			return nil
+		}
+	}
+	s := *f.set
+	s.Stats = BuildStats{Functions: len(f.keys), Hits: append([]string(nil), f.names...)}
+	liveHits.Add(int64(len(f.keys)))
+	return &s
+}
+
+// putFinishedSet memoizes s under pk; order lists the function indexes in
+// build order.
+func (c *Cache) putFinishedSet(pk string, s *Set, keys []string, order []int) {
+	f := &finishedSet{set: s}
+	for _, fi := range order {
+		f.keys = append(f.keys, keys[fi])
+		f.names = append(f.names, s.Funcs.Funcs[fi].Name)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.sets[pk]; !ok {
+		c.setOrder = append(c.setOrder, pk)
+	}
+	c.sets[pk] = f
+	for len(c.setOrder) > finishedSetCap {
+		delete(c.sets, c.setOrder[0])
+		c.setOrder = c.setOrder[1:]
 	}
 }
 

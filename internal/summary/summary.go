@@ -174,8 +174,9 @@ type Set struct {
 	// function i returns, composed over every continuation the return can
 	// resume at (see buildCont).
 	cont [][locMem + 1]Effect
-	// points memoizes propagate results for arbitrary seed points.
-	points pointMemo
+	// points memoizes propagate results for arbitrary seed points; shared
+	// by every Set handed out for the same finished build.
+	points *pointMemo
 }
 
 // Summaries returns the per-function summaries, index-aligned with
@@ -185,10 +186,22 @@ func (s *Set) Summaries() []*FuncSummary { return s.sums }
 // Build partitions prog, computes or loads the summary of every function in
 // bottom-up call-graph order, and resolves the caller-continuation fixpoint.
 // cache may be nil (everything is computed). Detectors may be nil.
+//
+// The cache also remembers each finished set in memory under a key covering
+// the whole program and detector table. When every function key still hits,
+// Build returns a Set sharing that finished work instead of redoing the
+// partition and the continuation fixpoint; its Stats read exactly as a warm
+// rebuild's would.
 func Build(prog *isa.Program, dets *detector.Table, cache *Cache) *Set {
+	var pk string
+	if cache != nil {
+		pk = programKey(prog, dets)
+		if s := cache.finishedSet(pk); s != nil {
+			return s
+		}
+	}
 	fs := Partition(prog, dets)
-	s := &Set{Funcs: fs, sums: make([]*FuncSummary, len(fs.Funcs))}
-	s.points.init()
+	s := &Set{Funcs: fs, sums: make([]*FuncSummary, len(fs.Funcs)), points: newPointMemo()}
 	s.Stats.Functions = len(fs.Funcs)
 	for i, f := range fs.Funcs {
 		// Pre-seed zero summaries so intra-SCC compositions during the
@@ -196,10 +209,15 @@ func Build(prog *isa.Program, dets *detector.Table, cache *Cache) *Set {
 		s.sums[i] = &FuncSummary{Name: f.Name, Entry: f.Entry, Opaque: f.Opaque}
 	}
 	keys := sccKeys(fs)
+	var order []int
 	for _, scc := range sccOrder(fs) {
 		s.buildSCC(scc, keys, cache)
+		order = append(order, scc...)
 	}
 	s.buildCont()
+	if cache != nil {
+		cache.putFinishedSet(pk, s, keys, order)
+	}
 	return s
 }
 

@@ -206,7 +206,7 @@ type pointKey struct {
 	loc    taintLoc
 }
 
-func (p *pointMemo) init() { p.m = make(map[pointKey]LocEffect) }
+func newPointMemo() *pointMemo { return &pointMemo{m: make(map[pointKey]LocEffect)} }
 
 // pointEffect is the memoized propagate of a single-location seed at an
 // arbitrary pc of function fi.

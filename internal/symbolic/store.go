@@ -95,9 +95,9 @@ func (s *Store) materialize() {
 // Push and restored by Pop. Because the maps are copy-on-write shells over
 // immutable interned values, a scope is O(1) to take and to restore: Push
 // freezes the current shells, the next mutation copies them, and Pop swaps
-// the frozen shells back. The executor uses scopes to answer "would this
-// branch be feasible?" on the parent store without cloning the whole state
-// (see symexec's fork enumeration).
+// the frozen shells back. A scope answers "would this conjunction be
+// feasible?" for any constraint without cloning the whole state; the fork
+// enumeration's equality probes use the cheaper read-only AdmitsEq.
 type Scope struct {
 	terms         map[isa.Loc]Term
 	cons          map[RootID]*Constraints
@@ -139,6 +139,10 @@ func (s *Store) NewRoot() RootID {
 	s.cons[r] = internedEmpty
 	return r
 }
+
+// RootsMinted returns how many roots the store has introduced so far: the
+// number the next NewRoot will take.
+func (s *Store) RootsMinted() RootID { return s.next }
 
 // SetTerm records that loc holds err with symbolic value t.
 func (s *Store) SetTerm(loc isa.Loc, t Term) {
@@ -225,6 +229,26 @@ func (s *Store) ConstrainTerm(t Term, cmp isa.Cmp, rhs int64) bool {
 		return true
 	}
 	return s.ConstrainRoot(t.Root, rootCmp, rootVal)
+}
+
+// AdmitsEq reports whether conjoining "t == v" would leave t's root
+// satisfiable, without touching the store: the read-only twin of a
+// Push/ConstrainTerm(CmpEq)/Pop probe. It is exact because an equality atom
+// on a root is satisfiable iff the root's set admits the value, and
+// ConstrainTerm never consults the difference relations.
+func (s *Store) AdmitsEq(t Term, v int64) bool {
+	_, rootVal, tautology, ok := t.InvertCmp(isa.CmpEq, v)
+	if !ok {
+		return false
+	}
+	if tautology {
+		return true
+	}
+	c, found := s.cons[t.Root]
+	if !found {
+		return true
+	}
+	return c.Admits(rootVal)
 }
 
 // ExactValue reports whether the constraints pin t to a single concrete

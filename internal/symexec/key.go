@@ -69,10 +69,10 @@ func hashValue(h *symbolic.Hash64, v isa.Value) {
 // 64-bit collision, which the Keyer audits under CheckKeyCollisions.
 //
 // The hash is stable for the lifetime of the process only: it seeds
-// in-memory visited sets, prune memos, and merge grouping, never anything
-// persisted (durable identities go through internal/fingerprint).
+// in-memory visited sets and prune memos, never anything persisted
+// (durable identities go through internal/fingerprint).
 func (s *State) KeyHash() uint64 {
-	return s.hashConfig(true, true)
+	return s.hashConfig(true)
 }
 
 // LoopHash hashes the configuration excluding the step counter: two states
@@ -80,22 +80,12 @@ func (s *State) KeyHash() uint64 {
 // consults Steps only for the watchdog). The merged explorer's cycle
 // accelerator uses it to prove a state revisited its own configuration.
 func (s *State) LoopHash() uint64 {
-	return s.hashConfig(false, true)
+	return s.hashConfig(false)
 }
 
-// SkeletonHash hashes the concrete skeleton: the configuration excluding
-// the step counter and the whole constraint store (err-holding locations
-// still contribute their err tags). States with equal skeletons are merge
-// candidates — they differ only in what is known about their erroneous
-// values, how they got here, and when.
-func (s *State) SkeletonHash() uint64 {
-	return s.hashConfig(false, false)
-}
-
-// hashConfig is the single encoder behind KeyHash, LoopHash and
-// SkeletonHash, so the three can never drift apart on the shared
-// components.
-func (s *State) hashConfig(withSteps, withSym bool) uint64 {
+// hashConfig is the single encoder behind KeyHash and LoopHash, so the two
+// can never drift apart on the shared components.
+func (s *State) hashConfig(withSteps bool) uint64 {
 	h := symbolic.NewHash64()
 	h.Int(int64(s.PC))
 	if withSteps {
@@ -113,9 +103,7 @@ func (s *State) hashConfig(withSteps, withSym bool) uint64 {
 	}
 	h.Word(uint64(len(s.Mem)))
 	h.Word(mem)
-	if withSym {
-		s.Sym.KeyHash(&h)
-	}
+	s.Sym.KeyHash(&h)
 	// The output stream is ordered but Key() compares its rendering, where
 	// item boundaries vanish ("a"+"bc" equals "ab"+"c"); hash the rendered
 	// characters to keep exactly that equivalence.

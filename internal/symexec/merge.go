@@ -13,7 +13,7 @@ import (
 // sibling worlds, executes the steps that cannot tell the worlds apart once,
 // and splits back into singles the moment a step could observe the
 // difference. ShareableStep is that observability judgment; MergeCompatible
-// is the exact skeleton comparison behind the SkeletonHash grouping.
+// is the exact skeleton comparison behind the grouping.
 
 // valueEq compares machine words with err as a class: all err values are
 // equal (their identities live in the store, which merging deliberately
@@ -29,9 +29,9 @@ func valueEq(a, b isa.Value) bool {
 
 // MergeCompatible reports whether a and b have identical concrete skeletons:
 // every component of the configuration except the symbolic store, the trace,
-// and the step counter. It is the exact check behind SkeletonHash — callers
-// group by hash, then confirm here, so a 64-bit collision can never fuse
-// genuinely different states.
+// and the step counter. It is an equivalence relation (err compares as one
+// class), so callers may bucket candidates by any digest of these fields
+// and confirm here.
 func MergeCompatible(a, b *State) bool {
 	if a.PC != b.PC || a.InPos != b.InPos || a.Status != b.Status ||
 		a.Truncated != b.Truncated || len(a.In) != len(b.In) ||

@@ -63,9 +63,10 @@ func TestShareableStepIsInvisible(t *testing.T) {
 	}
 }
 
-// TestMergeCompatibleMatchesSkeletonHash pins hash/comparison agreement:
-// states judged compatible must hash equal, and self-comparison holds.
-func TestMergeCompatibleMatchesSkeletonHash(t *testing.T) {
+// TestMergeCompatibleIgnoresStoreAndSteps pins the skeleton comparison:
+// self and clone compare compatible, a diverged store or step counter keeps
+// them so, a diverged register does not.
+func TestMergeCompatibleIgnoresStoreAndSteps(t *testing.T) {
 	prog, dets := factorial.WithDetectors()
 	st := NewState(prog, dets, []int64{5}, DefaultOptions())
 	st.Inject(isa.RegLoc(2))
@@ -73,22 +74,17 @@ func TestMergeCompatibleMatchesSkeletonHash(t *testing.T) {
 		t.Fatal("state not merge-compatible with itself")
 	}
 	c := st.Clone()
-	if !MergeCompatible(st, c) || st.SkeletonHash() != c.SkeletonHash() {
+	if !MergeCompatible(st, c) {
 		t.Fatal("clone not merge-compatible with original")
 	}
-	// Diverge the stores only: still compatible (skeleton ignores Sym).
 	c.Sym.ConstrainRoot(0, isa.CmpGe, 7)
 	c.Steps += 3
-	if !MergeCompatible(st, c) || st.SkeletonHash() != c.SkeletonHash() {
+	if !MergeCompatible(st, c) {
 		t.Fatal("store/steps divergence must not break skeleton compatibility")
 	}
-	// Diverge a register: incompatible.
 	c.Regs[5] = isa.Int(99)
 	if MergeCompatible(st, c) {
 		t.Fatal("register divergence must break compatibility")
-	}
-	if st.SkeletonHash() == c.SkeletonHash() {
-		t.Fatal("register divergence must change the skeleton hash")
 	}
 }
 

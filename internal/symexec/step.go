@@ -330,11 +330,10 @@ func (s *State) forkLoad(op *isa.Lowered) []*State {
 }
 
 // feasibleEq reports whether conjoining "op == v" could leave the path
-// satisfiable, without committing anything: the probe runs inside a
-// constraint scope (symbolic.Store.Push/Pop) on the receiver's own store and
-// rewinds before returning. The enumeration fan-outs (loads, stores, jr) ask
-// this before paying for a full state clone, so infeasible candidates cost a
-// scoped solver delta instead of a fork. The verdict matches what
+// satisfiable, without committing anything: the store answers read-only
+// (symbolic.Store.AdmitsEq). The enumeration fan-outs (loads, stores, jr)
+// ask this before paying for a full state clone, so infeasible candidates
+// cost one set lookup instead of a fork. The verdict matches what
 // constrainOperand on a clone would return, since the clone's store content
 // is identical.
 func (s *State) feasibleEq(op symbolic.Operand, v int64) bool {
@@ -345,10 +344,7 @@ func (s *State) feasibleEq(op symbolic.Operand, v int64) bool {
 	if !op.HasTerm {
 		return true
 	}
-	sc := s.Sym.Push()
-	ok := s.Sym.ConstrainTerm(op.Term, isa.CmpEq, v)
-	s.Sym.Pop(sc)
-	return ok
+	return s.Sym.AdmitsEq(op.Term, v)
 }
 
 // countFan records an n-way fan-out as n-1 forks of the given kind (so a
