@@ -17,6 +17,7 @@ import (
 
 	"symplfied"
 	"symplfied/internal/apps/factorial"
+	"symplfied/internal/apps/replace"
 	"symplfied/internal/apps/tcas"
 	"symplfied/internal/checker"
 	"symplfied/internal/experiments"
@@ -178,6 +179,51 @@ func BenchmarkInjectionExploration(b *testing.B) {
 		states = ir.StatesExplored
 	}
 	b.ReportMetric(float64(states), "states/op")
+}
+
+// BenchmarkLoadStoreFanoutReplace measures the memory sub-model's fork
+// fan-out: one replace injection of err into the stack pointer $29 just
+// before amatch's "st $5 2($29)", so that store forks over every defined
+// word plus the fresh-location case, and the frame loads that follow fork
+// over the defined words plus the undefined-address case. Budget, watchdog
+// and findings cap are the Section 6.4 study's.
+func BenchmarkLoadStoreFanoutReplace(b *testing.B) {
+	prog := replace.Program()
+	input := replace.Input("[a-c]x*", "<&>", "axx b cx")
+	ref := machine.New(prog, input, machine.Options{Watchdog: 2_000_000})
+	expected := machine.RenderOutput(ref.Run().Output)
+	pc := prog.Labels["AM_loop"]
+	for pc < prog.Len() && (prog.At(pc).Op != isa.OpSt || prog.At(pc).Rs != isa.RegSP) {
+		pc++
+	}
+	if pc == prog.Len() {
+		b.Fatal("no store through $29 after AM_loop")
+	}
+	exec := symexec.DefaultOptions()
+	exec.Watchdog = 120_000
+	spec := checker.Spec{
+		Program:     prog,
+		Input:       input,
+		Exec:        exec,
+		Predicate:   checker.IncorrectOutput(expected),
+		StateBudget: 60_000,
+		MaxFindings: 10,
+	}
+	inj := faults.Injection{Class: faults.ClassRegister, PC: pc, Loc: isa.RegLoc(isa.RegSP)}
+	var states, findings int
+	for i := 0; i < b.N; i++ {
+		ir, err := checker.RunInjection(spec, inj)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ir.BudgetExhausted || ir.Exec.ForksLoad == 0 || ir.Exec.ForksStore == 0 {
+			b.Fatalf("injection at %s: budget exhausted %v, %d load and %d store forks",
+				prog.Locate(pc), ir.BudgetExhausted, ir.Exec.ForksLoad, ir.Exec.ForksStore)
+		}
+		states, findings = ir.StatesExplored, len(ir.Findings)
+	}
+	b.ReportMetric(float64(states), "states/op")
+	b.ReportMetric(float64(findings), "findings/op")
 }
 
 // BenchmarkAssembleTcas measures the assembler on the tcas source.

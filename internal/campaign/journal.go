@@ -205,16 +205,13 @@ func LoadJournal(path, kind, fingerprint string) (map[string]json.RawMessage, er
 		if rerr != nil && !atEOF {
 			return nil, fmt.Errorf("campaign: journal %s: %w", path, rerr)
 		}
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			// Appends are whole '\n'-terminated lines, so an unterminated
-			// final line is the expected torn tail of a killed run and is
-			// skipped; a terminated line that fails to decode is corruption.
-			torn := atEOF && (len(line) == 0 || line[len(line)-1] != '\n')
+		// Appends are whole '\n'-terminated lines, so an unterminated final
+		// line is the expected torn tail of a killed run and is skipped, even
+		// when it happens to decode: OpenJournal truncates it before the next
+		// append. A terminated line that fails to decode is corruption.
+		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 && !atEOF {
 			var e entry
 			if err := json.Unmarshal(trimmed, &e); err != nil {
-				if torn {
-					break
-				}
 				return nil, fmt.Errorf("campaign: journal %s: corrupt entry: %w", path, err)
 			}
 			entries[e.Key] = e.Data

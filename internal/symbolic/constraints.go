@@ -53,14 +53,17 @@ func NewConstraints() *Constraints { return &Constraints{} }
 
 // Clone returns a mutable deep copy. Cloning an interned set is how stores
 // mutate constraints: copy, refine, re-intern (Store.ConstrainRoot).
-func (c *Constraints) Clone() *Constraints {
+func (c *Constraints) Clone() *Constraints { return c.cloneWithRoom(0) }
+
+// cloneWithRoom is Clone with room for extra more disequalities.
+func (c *Constraints) cloneWithRoom(extra int) *Constraints {
 	out := &Constraints{
 		unsat: c.unsat,
 		hasLo: c.hasLo, lo: c.lo,
 		hasHi: c.hasHi, hi: c.hi,
 	}
-	if len(c.ne) > 0 {
-		out.ne = make(map[int64]struct{}, len(c.ne))
+	if len(c.ne)+extra > 0 {
+		out.ne = make(map[int64]struct{}, len(c.ne)+extra)
 		for v := range c.ne {
 			out.ne[v] = struct{}{}
 		}

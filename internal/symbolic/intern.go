@@ -51,6 +51,12 @@ func Intern(c *Constraints) *Constraints {
 	if c.interned {
 		return c
 	}
+	return internCopy(c)
+}
+
+// internCopy is Intern for a set that is not interned yet. It never returns
+// or retains c itself, so a caller's scratch set can live on the stack.
+func internCopy(c *Constraints) *Constraints {
 	h := NewHash64()
 	c.hashInto(&h)
 	sum := h.Sum()

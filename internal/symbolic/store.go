@@ -190,15 +190,16 @@ func (s *Store) TermOrFresh(loc isa.Loc) Term {
 }
 
 // updateRoot applies the functional mutation protocol to one root's set:
-// clone the interned value, let f refine the mutable copy, re-intern, swap
-// the pointer. Returns f's verdict (conventionally "still satisfiable").
-func (s *Store) updateRoot(r RootID, f func(*Constraints) bool) bool {
+// clone the interned value with room for room more disequalities, let f
+// refine the mutable copy, re-intern, swap the pointer. Returns f's verdict
+// (conventionally "still satisfiable").
+func (s *Store) updateRoot(r RootID, room int, f func(*Constraints) bool) bool {
 	s.materialize()
 	cur, ok := s.cons[r]
 	if !ok {
 		cur = internedEmpty
 	}
-	mut := cur.Clone()
+	mut := cur.cloneWithRoom(room)
 	sat := f(mut)
 	s.cons[r] = Intern(mut)
 	s.relsSatCached = false // bounds feed the difference-graph solve
@@ -209,12 +210,24 @@ func (s *Store) updateRoot(r RootID, f func(*Constraints) bool) bool {
 // returns false when the root's set became unsatisfiable (the caller should
 // prune the state).
 func (s *Store) ConstrainRoot(r RootID, cmp isa.Cmp, v int64) bool {
-	return s.updateRoot(r, func(c *Constraints) bool { return c.AddCmp(cmp, v) })
+	if cmp == isa.CmpEq {
+		if cur, ok := s.cons[r]; !ok || cur.Admits(v) {
+			// A feasible equality pins the root: AddCmp would leave exactly
+			// lo == hi == v, every disequality normalized away, so skip
+			// copying them.
+			pinned := Constraints{hasLo: true, lo: v, hasHi: true, hi: v}
+			s.materialize()
+			s.cons[r] = internCopy(&pinned)
+			s.relsSatCached = false
+			return true
+		}
+	}
+	return s.updateRoot(r, 0, func(c *Constraints) bool { return c.AddCmp(cmp, v) })
 }
 
 // markRootUnsat poisons one root's constraint set.
 func (s *Store) markRootUnsat(r RootID) {
-	s.updateRoot(r, func(c *Constraints) bool { c.MarkUnsat(); return false })
+	s.updateRoot(r, 0, func(c *Constraints) bool { c.MarkUnsat(); return false })
 }
 
 // ConstrainTerm conjoins "t cmp rhs" by inverting the affine map onto t's
@@ -229,6 +242,75 @@ func (s *Store) ConstrainTerm(t Term, cmp isa.Cmp, rhs int64) bool {
 		return true
 	}
 	return s.ConstrainRoot(t.Root, rootCmp, rootVal)
+}
+
+// ConstrainTermNotIn conjoins "t =/= v-sub" for every v in vals (v-sub
+// wraps like int64 subtraction), in one functional update of t's root: one
+// clone, one normalize, one Intern. It is the batched twin of calling
+// ConstrainTerm(t, CmpNe, v-sub) for each v in order and stopping at the
+// first false, with the same verdict and, when satisfiable, the same
+// interned set: disequalities only shrink a set, so a prefix is infeasible
+// only if the whole batch is, and normalize reaches the same unique fixpoint
+// whether it runs after every atom or once after all of them. The loop's
+// intermediate sets are never built, so they never enter the intern table.
+func (s *Store) ConstrainTermNotIn(t Term, vals []int64, sub int64) bool {
+	first := -1
+	for i, v := range vals {
+		if _, _, tautology, ok := t.InvertCmp(isa.CmpNe, v-sub); !ok || !tautology {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		return true // every atom is a tautology: the loop touches nothing
+	}
+	return s.updateRoot(t.Root, len(vals)-first, func(c *Constraints) bool {
+		if c.unsat {
+			// AddCmp rejects an unsatisfiable set, and markRootUnsat keeps it.
+			return false
+		}
+		for _, v := range vals[first:] {
+			_, rootVal, tautology, ok := t.InvertCmp(isa.CmpNe, v-sub)
+			if !ok {
+				c.MarkUnsat()
+				return false
+			}
+			if !tautology {
+				c.addNe(rootVal)
+			}
+		}
+		c.normalize()
+		return c.Satisfiable()
+	})
+}
+
+// ConcretizeRoot rewrites every location whose term is over root r as
+// concrete once r's constraints pin it to a single value (the paper's "the
+// location being compared can be updated with the value it is being compared
+// to", generalized through the affine map). For each such location it calls
+// set with the location and its value, then clears the location's term. A
+// location whose value overflows int64 keeps its term. Only a constraint on r
+// can make r exact, so calling this for the root just constrained keeps the
+// store free of terms over exact roots.
+func (s *Store) ConcretizeRoot(r RootID, set func(loc isa.Loc, v int64)) {
+	c, ok := s.cons[r]
+	if !ok {
+		return
+	}
+	root, exact := c.Exact()
+	if !exact {
+		return
+	}
+	s.materialize()
+	for loc, t := range s.terms {
+		if t.Root != r {
+			continue
+		}
+		if v, ok := t.at(root); ok {
+			set(loc, v)
+			delete(s.terms, loc)
+		}
+	}
 }
 
 // AdmitsEq reports whether conjoining "t == v" would leave t's root
@@ -262,15 +344,7 @@ func (s *Store) ExactValue(t Term) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	coeff, ok1 := mulOvf(t.Coeff, root)
-	if !ok1 {
-		return 0, false
-	}
-	v, ok2 := addOvf(coeff, t.Off)
-	if !ok2 {
-		return 0, false
-	}
-	return v, true
+	return t.at(root)
 }
 
 // Satisfiable reports whether every root's constraint set is satisfiable.

@@ -130,6 +130,15 @@ func (t Term) MulConstTerm(c int64) (Term, bool) {
 	return out, true
 }
 
+// at evaluates t with its root set to root. ok is false on overflow.
+func (t Term) at(root int64) (int64, bool) {
+	coeff, ok := mulOvf(t.Coeff, root)
+	if !ok {
+		return 0, false
+	}
+	return addOvf(coeff, t.Off)
+}
+
 // Equal reports whether two terms denote the same affine function.
 func (t Term) Equal(u Term) bool { return t == u }
 

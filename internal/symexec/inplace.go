@@ -1,7 +1,7 @@
 package symexec
 
 import (
-	"fmt"
+	"strconv"
 
 	"symplfied/internal/isa"
 	"symplfied/internal/machine"
@@ -26,13 +26,13 @@ func (s *State) StepInPlace() bool {
 		return false
 	}
 	if s.Steps >= s.Opts.Watchdog {
-		s.raise(isa.ExcTimeout, fmt.Sprintf("watchdog after %d instructions", s.Steps))
+		s.raise(isa.ExcTimeout, "watchdog after "+strconv.Itoa(s.Steps)+" instructions")
 		s.Stats.CountWatchdog()
 		return true
 	}
 	code := s.Prog.Code()
 	if uint(s.PC) >= uint(len(code)) {
-		s.raise(isa.ExcIllegalInstr, fmt.Sprintf("fetch from %d", s.PC))
+		s.raise(isa.ExcIllegalInstr, "fetch from "+strconv.Itoa(s.PC))
 		return true
 	}
 	op := &code[s.PC]
@@ -105,7 +105,7 @@ func (s *State) StepInPlace() bool {
 		v, defined := s.Mem[addr]
 		switch {
 		case !defined:
-			s.raise(isa.ExcIllegalAddr, fmt.Sprintf("load from undefined %d", addr))
+			s.raise(isa.ExcIllegalAddr, "load from undefined "+strconv.FormatInt(addr, 10))
 			return true
 		case !v.IsErr():
 			s.setRegInt(op.Rt, v.MustConcrete())
@@ -156,7 +156,7 @@ func (s *State) StepInPlace() bool {
 		v := s.Regs[op.Rd]
 		s.Out = append(s.Out, machine.OutItem{Val: v})
 		if v.IsErr() {
-			s.note(trace.KindOutput, "printed err")
+			s.note(trace.KindOutput, trace.Text("printed err"))
 		}
 	case isa.KindPrints:
 		s.Steps++
@@ -166,7 +166,7 @@ func (s *State) StepInPlace() bool {
 	case isa.KindHalt:
 		s.Steps++
 		s.Status = machine.StatusHalted
-		s.note(trace.KindHalt, "halt (output %q)", s.OutputString())
+		s.note(trace.KindHalt, trace.Halt(s.Out))
 		return true
 	case isa.KindThrow:
 		s.Steps++
@@ -175,7 +175,7 @@ func (s *State) StepInPlace() bool {
 	case isa.KindCheck:
 		return s.stepCheck(op.Imm)
 	default:
-		s.raise(isa.ExcIllegalInstr, fmt.Sprintf("unsupported opcode %s", s.Prog.At(s.PC).Op))
+		s.raise(isa.ExcIllegalInstr, "unsupported opcode "+s.Prog.At(s.PC).Op.String())
 		return true
 	}
 	s.PC++
@@ -241,13 +241,13 @@ func (s *State) stepCheck(id int64) bool {
 	switch symbolic.DecideCmp(det.Cmp, target, expr) {
 	case symbolic.CmpTrue:
 		s.Steps++
-		s.note(trace.KindCheckPass, "detector %d passed: %s", det.ID, det)
+		s.note(trace.KindCheckPass, trace.CheckPass(det))
 		s.PC++
 		return true
 	case symbolic.CmpFalse:
 		s.Steps++
-		s.note(trace.KindDetect, "detector %d fired: %s", det.ID, det)
-		s.raise(isa.ExcDetected, fmt.Sprintf("detector %d: %s", det.ID, det))
+		s.note(trace.KindDetect, trace.Detect(det))
+		s.raise(isa.ExcDetected, detectedDetail(det))
 		s.Exc.Detector = det.ID
 		return true
 	}

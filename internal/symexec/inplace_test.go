@@ -39,9 +39,10 @@ zero:	halt
 	}
 }
 
-// termInvariant reports a violation of the store invariant the in-place step
+// termInvariant reports a violation of the store invariants the executor
 // relies on: a location holding a concrete value has no term ($0, which
-// always reads 0, excepted).
+// always reads 0, excepted), and no term is over a root whose constraints
+// are exact, which lets a constraint concretize only the root it constrained.
 func termInvariant(s *State) error {
 	for _, loc := range s.Sym.Locs() {
 		switch {
@@ -51,6 +52,17 @@ func termInvariant(s *State) error {
 			}
 		case loc.Reg != isa.RegZero && !s.Regs[loc.Reg].IsErr():
 			return fmt.Errorf("pc %d: %s holds %v but has a term", s.PC, loc, s.Regs[loc.Reg])
+		}
+		// Constraining a root concretizes the locations over it once it is
+		// exact, so no term may be over an exact root, unless the term's
+		// value overflows int64.
+		t, _ := s.Sym.Term(loc)
+		if c := s.Sym.RootConstraints(t.Root); c != nil {
+			if _, exact := c.Exact(); exact {
+				if v, ok := s.Sym.ExactValue(t); ok {
+					return fmt.Errorf("pc %d: %s has term %v over exact root e#%d (= %d): %s", s.PC, loc, t, t.Root, v, c)
+				}
+			}
 		}
 	}
 	return nil

@@ -116,3 +116,25 @@ exit:	halt
 		t.Errorf("permanent worlds = %d, want 2", permanent)
 	}
 }
+
+// TestPermanentInjectionOnCloneLeavesParent: clones share the stuck-at set,
+// so a permanent injection on a clone must replace the set, never write the
+// one its parent holds.
+func TestPermanentInjectionOnCloneLeavesParent(t *testing.T) {
+	s := stateFor(t, "\tread $1\n\tread $2\n\tadd $3 $1 $2\n\thalt\n", []int64{1, 2})
+	stepN(t, s, 2)
+	s.InjectPermanent(isa.RegLoc(1))
+	c := s.Clone()
+	c.InjectPermanent(isa.RegLoc(2))
+	if len(s.Stuck) != 1 || !s.stuck(isa.RegLoc(1)) || s.stuck(isa.RegLoc(2)) {
+		t.Errorf("parent stuck-at set changed: %v", s.Stuck)
+	}
+	if len(c.Stuck) != 2 || !c.stuck(isa.RegLoc(1)) || !c.stuck(isa.RegLoc(2)) {
+		t.Errorf("clone stuck-at set %v, want $1 and $2", c.Stuck)
+	}
+	fresh := NewState(s.Prog, nil, nil, DefaultOptions())
+	fresh.Clone().InjectPermanent(isa.RegLoc(3))
+	if fresh.Stuck != nil {
+		t.Errorf("injection on a clone gave its parent a stuck-at set %v", fresh.Stuck)
+	}
+}

@@ -80,7 +80,8 @@ type State struct {
 	// holds an unknown-but-fixed erroneous value, so writes to it are
 	// discarded and every read observes the same symbolic root. Transient
 	// errors (the paper's primary model) never populate this; permanent
-	// errors are the paper's future-work extension (2).
+	// errors are the paper's future-work extension (2). The map is never
+	// written once set, so clones share it: InjectPermanent replaces it.
 	Stuck map[isa.Loc]struct{}
 
 	Status machine.Status
@@ -172,13 +173,13 @@ func (s *State) SetInput(vals []int64) {
 }
 
 // Clone returns a logically independent copy sharing immutable pieces
-// (program, detector table, input stream, trace prefix) eagerly, the output
-// stream as a full slice (Out is only ever appended to, and an append to a
-// slice at capacity reallocates, so neither side sees the other's), and the
-// mutable memory image and constraint store copy-on-write: both sides keep
-// referencing the same map until one of them writes, which copies first.
-// States of one search belong to one goroutine, so the sharing needs no
-// synchronization.
+// (program, detector table, input stream, trace prefix, stuck-at set)
+// eagerly, the output stream as a full slice (Out is only ever appended to,
+// and an append to a slice at capacity reallocates, so neither side sees the
+// other's), and the mutable memory image and constraint store copy-on-write:
+// both sides keep referencing the same map until one of them writes, which
+// copies first. States of one search belong to one goroutine, so the sharing
+// needs no synchronization.
 func (s *State) Clone() *State {
 	s.memShared = true
 	out := &State{
@@ -199,12 +200,7 @@ func (s *State) Clone() *State {
 		Truncated: s.Truncated,
 		memShared: true,
 		Stats:     s.Stats,
-	}
-	if len(s.Stuck) > 0 {
-		out.Stuck = make(map[isa.Loc]struct{}, len(s.Stuck))
-		for l := range s.Stuck {
-			out.Stuck[l] = struct{}{}
-		}
+		Stuck:     s.Stuck,
 	}
 	return out
 }
@@ -226,19 +222,16 @@ func (s *State) materializeMem() {
 // Running reports whether the state can still take a step.
 func (s *State) Running() bool { return s.Status == machine.StatusRunning }
 
-// note appends a trace event.
-func (s *State) note(kind trace.Kind, format string, args ...any) {
-	s.Trace = s.Trace.Append(trace.Event{
-		Kind: kind,
-		Step: s.Steps,
-		PC:   s.PC,
-		Text: fmt.Sprintf(format, args...),
-	})
+// note appends a trace event at the current step and pc. The payload holds
+// the event's facts; its text is rendered only if the trace is read.
+func (s *State) note(kind trace.Kind, p trace.Payload) {
+	s.Trace = s.Trace.Add(kind, s.Steps, s.PC, p)
 }
 
-// Note appends a trace event; exported for the fault model and the checker.
+// Note appends a trace event with formatted text; exported for the fault
+// model and the checker.
 func (s *State) Note(kind trace.Kind, format string, args ...any) {
-	s.note(kind, format, args...)
+	s.note(kind, trace.Text(fmt.Sprintf(format, args...)))
 }
 
 // Inject places err into loc and returns the fresh root, recording the event.
@@ -250,7 +243,7 @@ func (s *State) Inject(loc isa.Loc) symbolic.RootID {
 	} else if loc.Reg != isa.RegZero {
 		s.Regs[loc.Reg] = isa.Err()
 	}
-	s.note(trace.KindInject, "err (e#%d) injected into %s at %s", root, loc, s.Prog.Locate(s.PC))
+	s.note(trace.KindInject, trace.Inject(s.Prog, root, loc))
 	return root
 }
 
@@ -294,13 +287,16 @@ var _ detector.Env = (*State)(nil)
 
 // InjectPermanent places a stuck-at fault into loc: the location reads as
 // the same unknown erroneous value forever, and writes to it are discarded.
+// The stuck-at set may be shared with clones, so it is replaced, not written.
 func (s *State) InjectPermanent(loc isa.Loc) symbolic.RootID {
 	root := s.Inject(loc)
-	if s.Stuck == nil {
-		s.Stuck = make(map[isa.Loc]struct{}, 1)
+	stuck := make(map[isa.Loc]struct{}, len(s.Stuck)+1)
+	for l := range s.Stuck {
+		stuck[l] = struct{}{}
 	}
-	s.Stuck[loc] = struct{}{}
-	s.note(trace.KindNote, "fault in %s is permanent (stuck-at)", loc)
+	stuck[loc] = struct{}{}
+	s.Stuck = stuck
+	s.note(trace.KindNote, trace.Stuck(loc))
 	return root
 }
 
@@ -375,27 +371,15 @@ func (s *State) setMemInt(addr int64, n int64) {
 	s.Mem[addr] = isa.Int(n)
 }
 
-// concretize sweeps err-holding locations whose constraints now pin their
-// term to a single value and rewrites them as concrete (the paper's "the
-// location being compared can be updated with the value it is being compared
-// to", generalized through the affine map).
-func (s *State) concretize() {
-	for _, loc := range s.Sym.Locs() {
-		t, ok := s.Sym.Term(loc)
-		if !ok {
-			continue
-		}
-		v, exact := s.Sym.ExactValue(t)
-		if !exact {
-			continue
-		}
-		if loc.IsMem {
-			s.materializeMem()
-			s.Mem[loc.Addr] = isa.Int(v)
-		} else if loc.Reg != isa.RegZero {
-			s.Regs[loc.Reg] = isa.Int(v)
-		}
-		s.Sym.Clear(loc)
+// setExact writes the value a location holds once the constraint just
+// conjoined on its root pins it (symbolic.Store.ConcretizeRoot, which clears
+// the location's term).
+func (s *State) setExact(loc isa.Loc, v int64) {
+	if loc.IsMem {
+		s.materializeMem()
+		s.Mem[loc.Addr] = isa.Int(v)
+	} else if loc.Reg != isa.RegZero {
+		s.Regs[loc.Reg] = isa.Int(v)
 	}
 }
 
@@ -403,7 +387,7 @@ func (s *State) concretize() {
 func (s *State) raise(kind isa.ExceptionKind, detail string) {
 	s.Status = machine.StatusExcepted
 	s.Exc = &isa.Exception{Kind: kind, PC: s.PC, Detail: detail}
-	s.note(trace.KindException, "%s", s.Exc.Error())
+	s.note(trace.KindException, trace.Exception(s.Exc))
 }
 
 // FiredDetector returns the ID of the detector that terminated this state,

@@ -2,6 +2,8 @@ package symexec
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"symplfied/internal/detector"
 	"symplfied/internal/isa"
@@ -104,7 +106,7 @@ func (s *State) fork() *State {
 // constrainOperand conjoins "op cmp rhs" onto the path, returning false when
 // the path becomes infeasible. Operands of unknown lineage yield no
 // constraint (sound: both forks stay live, as in the paper's model).
-func (s *State) constrainOperand(op symbolic.Operand, cmp isa.Cmp, rhs int64, why string) bool {
+func (s *State) constrainOperand(op symbolic.Operand, cmp isa.Cmp, rhs int64, why trace.Why) bool {
 	if op.Val.IsConcrete() {
 		v, _ := op.Val.Concrete()
 		return isa.EvalCmp(cmp, v, rhs)
@@ -115,15 +117,41 @@ func (s *State) constrainOperand(op symbolic.Operand, cmp isa.Cmp, rhs int64, wh
 	if !s.Sym.ConstrainTerm(op.Term, cmp, rhs) {
 		return false
 	}
-	s.note(trace.KindConstraint, "%s: %s %s %d", why, op.Term, cmp, rhs)
-	s.concretize()
+	s.note(trace.KindConstraint, trace.Constraint(why, op.Term, cmp, rhs))
+	s.Sym.ConcretizeRoot(op.Term.Root, s.setExact)
+	return true
+}
+
+// constrainNotIn conjoins "op =/= v-sub" for every v in vals: the batched
+// twin of a constrainOperand(op, CmpNe, v-sub, why) loop that stops at the
+// first infeasible atom. It has the loop's verdict and, when feasible, notes
+// the same len(vals) constraint events in one trace cell and leaves the same
+// store, with a single update of op's root and a single concretization.
+func (s *State) constrainNotIn(op symbolic.Operand, vals []int64, sub int64, why trace.Why) bool {
+	if op.Val.IsConcrete() {
+		v, _ := op.Val.Concrete()
+		for _, a := range vals {
+			if v == a-sub {
+				return false
+			}
+		}
+		return true
+	}
+	if !op.HasTerm || len(vals) == 0 {
+		return true
+	}
+	if !s.Sym.ConstrainTermNotIn(op.Term, vals, sub) {
+		return false
+	}
+	s.note(trace.KindConstraint, trace.NotIn(why, op.Term, vals, sub))
+	s.Sym.ConcretizeRoot(op.Term.Root, s.setExact)
 	return true
 }
 
 // applyCmp conjoins "x cmp y" onto the path. It handles err-vs-concrete in
 // both positions and err-vs-err over a shared root; err-vs-err over
 // unrelated roots yields no constraint (the paper's over-approximation).
-func (s *State) applyCmp(cmp isa.Cmp, x, y symbolic.Operand, why string) bool {
+func (s *State) applyCmp(cmp isa.Cmp, x, y symbolic.Operand, why trace.Why) bool {
 	xc, xConc := x.Val.Concrete()
 	yc, yConc := y.Val.Concrete()
 	switch {
@@ -151,7 +179,7 @@ func (s *State) applyCmp(cmp isa.Cmp, x, y symbolic.Operand, why string) bool {
 				if !sat {
 					return false
 				}
-				s.note(trace.KindConstraint, "%s: %s %s %s", why, x.Term, cmp, y.Term)
+				s.note(trace.KindConstraint, trace.Relation(why, x.Term, cmp, y.Term))
 			}
 		}
 		return true
@@ -162,15 +190,15 @@ func (s *State) applyCmp(cmp isa.Cmp, x, y symbolic.Operand, why string) bool {
 // and false-case states (either may be nil after pruning). kind tags the
 // fork in ExecStats (obs.ForkCmp for ordinary comparisons, obs.ForkDetector
 // for CHECKs).
-func (s *State) forkCmp(kind string, cmp isa.Cmp, x, y symbolic.Operand, why string) (tState, fState *State) {
+func (s *State) forkCmp(kind string, cmp isa.Cmp, x, y symbolic.Operand, why trace.Why) (tState, fState *State) {
 	t := s.fork()
-	t.note(trace.KindFork, "%s: assume %s", why, cmp)
+	t.note(trace.KindFork, trace.Assume(why, cmp))
 	if !t.applyCmp(cmp, x, y, why) {
 		t = nil
 		s.Stats.CountPrune()
 	}
 	f := s.fork()
-	f.note(trace.KindFork, "%s: assume %s", why, cmp.Negate())
+	f.note(trace.KindFork, trace.Assume(why, cmp.Negate()))
 	if !f.applyCmp(cmp.Negate(), x, y, why) {
 		f = nil
 		s.Stats.CountPrune()
@@ -181,27 +209,22 @@ func (s *State) forkCmp(kind string, cmp isa.Cmp, x, y symbolic.Operand, why str
 	return t, f
 }
 
-// why names the instruction at the current pc for fork notes.
-func (s *State) why() string {
-	return fmt.Sprintf("%s at %s", s.Prog.At(s.PC).Op, s.Prog.Locate(s.PC))
-}
-
 // forkDivisor splits a division by an erroneous divisor. Paper:
 // eq I / err = if isEqual(err, 0) then throw "div-zero" else err.
 func (s *State) forkDivisor(op *isa.Lowered) []*State {
 	divisor := s.regOperand(op.Rt)
 	var out []*State
 	zero := s.fork()
-	zero.note(trace.KindFork, "divisor err: assume == 0")
-	if zero.constrainOperand(divisor, isa.CmpEq, 0, "div-zero case") {
+	zero.note(trace.KindFork, trace.Text("divisor err: assume == 0"))
+	if zero.constrainOperand(divisor, isa.CmpEq, 0, trace.Reason("div-zero case")) {
 		zero.raise(isa.ExcDivZero, "erroneous divisor assumed zero")
 		out = append(out, zero)
 	} else {
 		s.Stats.CountPrune()
 	}
 	nz := s.fork()
-	nz.note(trace.KindFork, "divisor err: assume != 0")
-	if nz.constrainOperand(divisor, isa.CmpNe, 0, "div-nonzero case") {
+	nz.note(trace.KindFork, trace.Text("divisor err: assume != 0"))
+	if nz.constrainOperand(divisor, isa.CmpNe, 0, trace.Reason("div-nonzero case")) {
 		nz.setReg(op.Rd, isa.Err(), symbolic.Term{}, false)
 		nz.PC++
 		out = append(out, nz)
@@ -216,7 +239,7 @@ func (s *State) forkDivisor(op *isa.Lowered) []*State {
 
 func (s *State) forkSetCmp(op *isa.Lowered, cmp isa.Cmp) []*State {
 	x, y := s.operands(op)
-	t, f := s.forkCmp(obs.ForkCmp, cmp, x, y, s.why())
+	t, f := s.forkCmp(obs.ForkCmp, cmp, x, y, trace.Instr(s.Prog))
 	var out []*State
 	if t != nil {
 		t.setRegInt(op.Rd, 1)
@@ -233,7 +256,7 @@ func (s *State) forkSetCmp(op *isa.Lowered, cmp isa.Cmp) []*State {
 
 func (s *State) forkBranch(op *isa.Lowered) []*State {
 	x, y := s.operands(op)
-	t, f := s.forkCmp(obs.ForkCmp, branchCmp(op), x, y, s.why())
+	t, f := s.forkCmp(obs.ForkCmp, branchCmp(op), x, y, trace.Instr(s.Prog))
 	var out []*State
 	if t != nil {
 		t.PC = op.Target
@@ -246,22 +269,15 @@ func (s *State) forkBranch(op *isa.Lowered) []*State {
 	return out
 }
 
-// definedAddrsSorted returns the defined memory addresses in order.
+// definedAddrsSorted returns the defined memory addresses in order. Forks
+// keep the slice in their trace cells, so it is never modified afterwards.
 func (s *State) definedAddrsSorted() []int64 {
 	addrs := make([]int64, 0, len(s.Mem))
 	for a := range s.Mem {
 		addrs = append(addrs, a)
 	}
-	sortInt64s(addrs)
+	slices.Sort(addrs)
 	return addrs
-}
-
-func sortInt64s(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // forkLoad resolves a load through an erroneous pointer (Section 5.2,
@@ -269,18 +285,12 @@ func sortInt64s(a []int64) {
 // an arbitrary memory location or throws an illegal-address exception".
 func (s *State) forkLoad(op *isa.Lowered) []*State {
 	base := s.regOperand(op.Rs)
+	addrs := s.definedAddrsSorted()
 	var out []*State
 
 	exc := s.fork()
-	exc.note(trace.KindFork, "load through erroneous pointer: assume undefined address")
-	feasible := true
-	for _, a := range s.definedAddrsSorted() {
-		if !exc.constrainOperand(base, isa.CmpNe, a-op.Imm, "address not defined") {
-			feasible = false
-			break
-		}
-	}
-	if feasible {
+	exc.note(trace.KindFork, trace.Text("load through erroneous pointer: assume undefined address"))
+	if exc.constrainNotIn(base, addrs, op.Imm, trace.Reason("address not defined")) {
 		exc.raise(isa.ExcIllegalAddr, "load through erroneous pointer")
 		out = append(out, exc)
 	} else {
@@ -289,14 +299,13 @@ func (s *State) forkLoad(op *isa.Lowered) []*State {
 
 	if s.Opts.SymbolicMem {
 		c := s.fork()
-		c.note(trace.KindFork, "load through erroneous pointer: symbolic result")
+		c.note(trace.KindFork, trace.Text("load through erroneous pointer: symbolic result"))
 		c.setReg(op.Rt, isa.Err(), symbolic.Term{}, false)
 		c.PC++
 		out = append(out, c)
 		s.countFan(obs.ForkLoad, len(out))
 		return out
 	}
-	addrs := s.definedAddrsSorted()
 	truncated := false
 	if s.Opts.MaxMemTargets > 0 && len(addrs) > s.Opts.MaxMemTargets {
 		addrs = addrs[:s.Opts.MaxMemTargets]
@@ -308,11 +317,11 @@ func (s *State) forkLoad(op *isa.Lowered) []*State {
 			continue
 		}
 		c := s.fork()
-		if !c.constrainOperand(base, isa.CmpEq, a-op.Imm, "load resolves") {
+		if !c.constrainOperand(base, isa.CmpEq, a-op.Imm, trace.Reason("load resolves")) {
 			s.Stats.CountPrune()
 			continue
 		}
-		c.note(trace.KindFork, "load through erroneous pointer resolved to %d", a)
+		c.note(trace.KindFork, trace.LoadAt(a))
 		v, _ := c.memOperand(a)
 		c.setReg(op.Rt, v.Val, v.Term, v.HasTerm)
 		c.PC++
@@ -375,11 +384,11 @@ func (s *State) forkStore(op *isa.Lowered) []*State {
 			continue
 		}
 		c := s.fork()
-		if !c.constrainOperand(base, isa.CmpEq, a-op.Imm, "store resolves") {
+		if !c.constrainOperand(base, isa.CmpEq, a-op.Imm, trace.Reason("store resolves")) {
 			s.Stats.CountPrune()
 			continue
 		}
-		c.note(trace.KindFork, "store through erroneous pointer resolved to %d", a)
+		c.note(trace.KindFork, trace.StoreAt(a))
 		c.setMem(a, val.Val, val.Term, val.HasTerm)
 		c.PC++
 		c.Truncated = c.Truncated || truncated
@@ -390,15 +399,8 @@ func (s *State) forkStore(op *isa.Lowered) []*State {
 	// has not touched; since loads from undefined addresses fault anyway,
 	// the write is unobservable through defined memory.
 	fresh := s.fork()
-	fresh.note(trace.KindFork, "store through erroneous pointer: assume fresh location")
-	feasible := true
-	for _, a := range addrs {
-		if !fresh.constrainOperand(base, isa.CmpNe, a-op.Imm, "address not previously defined") {
-			feasible = false
-			break
-		}
-	}
-	if feasible {
+	fresh.note(trace.KindFork, trace.Text("store through erroneous pointer: assume fresh location"))
+	if fresh.constrainNotIn(base, addrs, op.Imm, trace.Reason("address not previously defined")) {
 		fresh.PC++
 		fresh.Truncated = fresh.Truncated || truncated
 		out = append(out, fresh)
@@ -433,17 +435,17 @@ func (s *State) forkJr(op *isa.Lowered) []*State {
 			continue
 		}
 		c := s.fork()
-		if !c.constrainOperand(target, isa.CmpEq, int64(pc), "control target resolves") {
+		if !c.constrainOperand(target, isa.CmpEq, int64(pc), trace.Reason("control target resolves")) {
 			s.Stats.CountPrune()
 			continue
 		}
-		c.note(trace.KindControl, "control transferred through erroneous target to %s", s.Prog.Locate(pc))
+		c.note(trace.KindControl, trace.Control(s.Prog, pc))
 		c.PC = pc
 		c.Truncated = truncated
 		out = append(out, c)
 	}
 	exc := s.fork()
-	exc.note(trace.KindFork, "erroneous control target: assume invalid code address")
+	exc.note(trace.KindFork, trace.Text("erroneous control target: assume invalid code address"))
 	exc.raise(isa.ExcIllegalInstr, "jump through erroneous target")
 	exc.Truncated = truncated
 	out = append(out, exc)
@@ -455,19 +457,23 @@ func (s *State) forkJr(op *isa.Lowered) []*State {
 }
 
 func (s *State) forkCheck(det *detector.Detector, target, expr symbolic.Operand) []*State {
-	why := fmt.Sprintf("detector %d at %s", det.ID, s.Prog.Locate(s.PC))
-	pass, fail := s.forkCmp(obs.ForkDetector, det.Cmp, target, expr, why)
+	pass, fail := s.forkCmp(obs.ForkDetector, det.Cmp, target, expr, trace.DetectorAt(s.Prog, det))
 	var out []*State
 	if pass != nil {
-		pass.note(trace.KindCheckPass, "detector %d passed: %s", det.ID, det)
+		pass.note(trace.KindCheckPass, trace.CheckPass(det))
 		pass.PC++
 		out = append(out, pass)
 	}
 	if fail != nil {
-		fail.note(trace.KindDetect, "detector %d fired: %s", det.ID, det)
-		fail.raise(isa.ExcDetected, fmt.Sprintf("detector %d: %s", det.ID, det))
+		fail.note(trace.KindDetect, trace.Detect(det))
+		fail.raise(isa.ExcDetected, detectedDetail(det))
 		fail.Exc.Detector = det.ID
 		out = append(out, fail)
 	}
 	return out
+}
+
+// detectedDetail is the exception detail of a state detector d terminated.
+func detectedDetail(d *detector.Detector) string {
+	return "detector " + strconv.FormatInt(d.ID, 10) + ": " + d.String()
 }

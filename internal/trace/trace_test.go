@@ -3,6 +3,9 @@ package trace
 import (
 	"strings"
 	"testing"
+
+	"symplfied/internal/isa"
+	"symplfied/internal/symbolic"
 )
 
 func TestEmptyTrace(t *testing.T) {
@@ -95,5 +98,48 @@ func TestKindNames(t *testing.T) {
 			t.Errorf("duplicate kind name %q", name)
 		}
 		seen[name] = true
+	}
+}
+
+// TestBatchCellSharedByForks: a disequality batch is one cell that counts,
+// and renders, as one event per value, in order, under every fork that
+// extends it.
+func TestBatchCellSharedByForks(t *testing.T) {
+	var base *Node
+	base = base.Append(Event{Kind: KindInject, Step: 1, PC: 2, Text: "inject"})
+	vals := []int64{100, 200, 300}
+	batch := base.Add(KindConstraint, 3, 4, NotIn(Reason("address not defined"), symbolic.Term{Root: 2, Coeff: 1, Off: 1}, vals, 4))
+	exc := &isa.Exception{Kind: isa.ExcIllegalAddr, PC: 4, Detail: "load through erroneous pointer"}
+	left := batch.Add(KindException, 3, 4, Exception(exc))
+	right := batch.Add(KindFork, 3, 4, Text("right"))
+	empty := right.Add(KindConstraint, 3, 4, NotIn(Reason("none"), symbolic.FreshTerm(0), nil, 0))
+
+	for name, tc := range map[string]struct {
+		n    *Node
+		want int
+	}{"base": {base, 1}, "batch": {batch, 4}, "left": {left, 5}, "right": {right, 5}, "empty": {empty, 5}} {
+		if got := tc.n.Len(); got != tc.want || len(tc.n.Events()) != got {
+			t.Errorf("%s: Len %d, len(Events()) %d, want %d", name, got, len(tc.n.Events()), tc.want)
+		}
+	}
+	want := []string{
+		"[step 1 @2] inject: inject",
+		"[step 3 @4] constraint: address not defined: e#2+1 =/= 96",
+		"[step 3 @4] constraint: address not defined: e#2+1 =/= 196",
+		"[step 3 @4] constraint: address not defined: e#2+1 =/= 296",
+	}
+	for name, n := range map[string]*Node{"left": left, "right": right} {
+		evs := n.Events()
+		for i, w := range want {
+			if got := evs[i].String(); got != w {
+				t.Errorf("%s event %d = %q, want %q", name, i, got, w)
+			}
+		}
+	}
+	if got := left.Events()[4].Text; got != "illegal addr (load through erroneous pointer) at @4" {
+		t.Errorf("left exception text %q", got)
+	}
+	if got := right.Events()[4].Text; got != "right" {
+		t.Errorf("right fork text %q", got)
 	}
 }
