@@ -733,9 +733,6 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 
 	st := symexec.FromMachine(m, spec.Detectors, spec.Exec)
 	st.Stats = &ir.Exec // shared by every forked state in this search
-	if consumed := m.InputConsumed(); consumed < len(spec.Input) {
-		st.SetInput(spec.Input[consumed:])
-	}
 
 	initial, err := inj.Apply(st)
 	if err != nil {

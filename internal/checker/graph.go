@@ -61,9 +61,6 @@ func ExploreGraphCtx(ctx context.Context, spec Spec, inj faults.Injection, maxNo
 		return nil, fmt.Errorf("checker: injection %s never activated", inj)
 	}
 	st := symexec.FromMachine(m, spec.Detectors, spec.Exec)
-	if consumed := m.InputConsumed(); consumed < len(spec.Input) {
-		st.SetInput(spec.Input[consumed:])
-	}
 	initial, err := inj.Apply(st)
 	if err != nil {
 		return nil, err

@@ -219,9 +219,6 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 
 	st := symexec.FromMachine(m, spec.Detectors, spec.Exec)
 	st.Stats = &ir.Exec
-	if consumed := m.InputConsumed(); consumed < len(spec.Input) {
-		st.SetInput(spec.Input[consumed:])
-	}
 
 	initial, err := inj.Apply(st)
 	if err != nil {

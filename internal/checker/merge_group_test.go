@@ -1,7 +1,6 @@
 package checker
 
 import (
-	"maps"
 	"math/rand"
 	"testing"
 
@@ -66,9 +65,7 @@ func parkedStates(r *rand.Rand, reg isa.Reg) []*mentry {
 				root := c.Sym.Inject(isa.MemLoc(1 << 20))
 				c.Sym.ConstrainRoot(root, isa.CmpGe, int64(r.Intn(9)))
 			case 2:
-				m := maps.Clone(c.Mem)
-				m[int64(r.Intn(4))] = isa.Int(int64(r.Intn(3)))
-				c.Mem = m
+				c.Mem.Store(int64(r.Intn(4)), isa.Int(int64(r.Intn(3))))
 			case 3:
 				c.InPos += 1 + r.Intn(2)
 			case 4:

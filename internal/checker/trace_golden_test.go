@@ -15,7 +15,7 @@ import (
 	"symplfied/internal/symexec"
 )
 
-var updateTraceGolden = flag.Bool("update", false, "rewrite testdata/trace_golden.json with the current traces")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata with the current output")
 
 // traceScenario is one small search whose findings, every terminal state of
 // the search, together reach every site that notes a trace event.
@@ -220,7 +220,7 @@ func TestTraceGolden(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "trace_golden.json")
-	if *updateTraceGolden {
+	if *updateGolden {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

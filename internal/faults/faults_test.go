@@ -279,7 +279,7 @@ func TestStaticMemoryInjections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := states[0].Mem[100]; !ok || !v.IsErr() {
+	if v, ok := states[0].Mem.Load(100); !ok || !v.IsErr() {
 		t.Error("static memory injection did not place err")
 	}
 }

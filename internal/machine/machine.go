@@ -10,7 +10,8 @@
 // live in internal/symexec.
 //
 // The interpreter executes the program's pre-decoded op array
-// (isa.Program.Code) over a flat open-addressed data memory. For the concrete
+// (isa.Program.Code) over a flat open-addressed data memory (isa.Memory, the
+// same table the symbolic engine keeps its memory image in). For the concrete
 // fault-injection baseline (internal/simplescalar) a run stops at a chosen
 // instruction with RunUntil, is copied with Restore, and has its state
 // mutated with SetReg/SetMem/SetPC, emulating the paper's augmented
@@ -117,7 +118,7 @@ type Machine struct {
 	prog     *isa.Program
 	code     []isa.Lowered
 	regs     [isa.NumRegs]isa.Value // regs[0] is never written, so reads 0
-	mem      memory
+	mem      isa.Memory
 	pc       int
 	in       []isa.Value // shared by restored copies, never written
 	inPos    int
@@ -171,7 +172,7 @@ func (m *Machine) Restore(src *Machine) {
 	m.prog = src.prog
 	m.code = src.code
 	m.regs = src.regs
-	m.mem.copyFrom(&src.mem)
+	m.mem.CopyFrom(&src.mem)
 	m.pc = src.pc
 	m.in = src.in
 	m.inPos = src.inPos
@@ -203,8 +204,10 @@ func (m *Machine) Status() Status { return m.status }
 // Exception returns the terminating exception, if any.
 func (m *Machine) Exception() *isa.Exception { return m.exc }
 
-// InputConsumed returns how many input values have been read so far.
-func (m *Machine) InputConsumed() int { return m.inPos }
+// UnreadInput returns the input values not read yet. The slice is shared
+// with the machine, as the whole input is with its restored copies, so the
+// caller must not write it.
+func (m *Machine) UnreadInput() []isa.Value { return m.in[m.inPos:] }
 
 // TraceTail returns the program counters of the last TraceTailLen fetches,
 // oldest first, or nil before the first one. A fetch from an invalid address
@@ -270,18 +273,20 @@ func (m *Machine) SetReg(r isa.Reg, v isa.Value) {
 }
 
 // Mem returns the memory word at addr; ok is false for undefined locations.
-func (m *Machine) Mem(addr int64) (isa.Value, bool) { return m.mem.load(addr) }
+func (m *Machine) Mem(addr int64) (isa.Value, bool) { return m.mem.Load(addr) }
 
 // SetMem writes the memory word at addr, defining it if needed. Exported for
 // fault injection and program loaders.
-func (m *Machine) SetMem(addr int64, v isa.Value) { m.mem.store(addr, v) }
+func (m *Machine) SetMem(addr int64, v isa.Value) { m.mem.Store(addr, v) }
 
 // SetPC repositions the program counter. Exported for fault injection (PC
 // errors). An invalid target raises "illegal instruction" at the next step.
 func (m *Machine) SetPC(pc int) { m.pc = pc }
 
-// MemSnapshot returns a copy of the defined memory.
-func (m *Machine) MemSnapshot() map[int64]isa.Value { return m.mem.snapshot() }
+// CopyMem makes dst an independent copy of the machine's memory image,
+// reusing dst's table when it is large enough. Later stores to either never
+// show in the other.
+func (m *Machine) CopyMem(dst *isa.Memory) { dst.CopyFrom(&m.mem) }
 
 // RegOperand implements detector.Env.
 func (m *Machine) RegOperand(r isa.Reg) symbolic.Operand {
@@ -294,7 +299,7 @@ func (m *Machine) RegOperand(r isa.Reg) symbolic.Operand {
 
 // MemOperand implements detector.Env.
 func (m *Machine) MemOperand(addr int64) (symbolic.Operand, bool) {
-	v, ok := m.mem.load(addr)
+	v, ok := m.mem.Load(addr)
 	if !ok {
 		return symbolic.Operand{}, false
 	}
@@ -456,7 +461,7 @@ func (m *Machine) exec(bp breakpoint, end int) {
 				m.raise(isa.ExcIllegalAddr, "erroneous address in concrete machine")
 				return
 			}
-			v, defined := m.mem.load(base + op.Imm)
+			v, defined := m.mem.Load(base + op.Imm)
 			if !defined {
 				m.raise(isa.ExcIllegalAddr, fmt.Sprintf("load from undefined %d", base+op.Imm))
 				return
@@ -468,7 +473,7 @@ func (m *Machine) exec(bp breakpoint, end int) {
 				m.raise(isa.ExcIllegalAddr, "erroneous address in concrete machine")
 				return
 			}
-			m.mem.store(base+op.Imm, m.regs[op.Rt])
+			m.mem.Store(base+op.Imm, m.regs[op.Rt])
 			m.pc++
 		case isa.KindBranch:
 			x, y, ok := m.operands(op)

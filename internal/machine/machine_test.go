@@ -232,17 +232,22 @@ func TestInputConsumedAndSnapshot(t *testing.T) {
 	u := asm.MustParse("t", "\tread $1\n\tst $1 5($0)\n\thalt\n")
 	m := New(u.Program, []int64{9, 8}, Options{})
 	m.Run()
-	if m.InputConsumed() != 1 {
-		t.Errorf("InputConsumed = %d", m.InputConsumed())
+	if in := m.UnreadInput(); len(in) != 1 || !in[0].Equal(isa.Int(8)) {
+		t.Errorf("UnreadInput = %v, want [8]", in)
 	}
-	snap := m.MemSnapshot()
-	if v, ok := snap[5]; !ok || !v.Equal(isa.Int(9)) {
-		t.Errorf("snapshot %v", snap)
+	var snap isa.Memory
+	m.CopyMem(&snap)
+	if v, ok := snap.Load(5); !ok || !v.Equal(isa.Int(9)) || snap.Len() != 1 {
+		t.Errorf("snapshot *(5) = %v, %v with %d words", v, ok, snap.Len())
 	}
-	// Snapshot is a copy.
-	snap[5] = isa.Int(0)
+	// Snapshot is a copy, in both directions.
+	snap.Store(5, isa.Int(0))
 	if v, _ := m.Mem(5); !v.Equal(isa.Int(9)) {
 		t.Error("snapshot aliases machine memory")
+	}
+	m.SetMem(6, isa.Int(1))
+	if _, ok := snap.Load(6); ok {
+		t.Error("machine store shows in the snapshot")
 	}
 }
 

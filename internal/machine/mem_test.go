@@ -8,57 +8,6 @@ import (
 	"symplfied/internal/isa"
 )
 
-func TestMemExtremeAndNegativeAddresses(t *testing.T) {
-	var mem memory
-	addrs := []int64{0, -1, 1, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, -1 << 40, 1 << 62}
-	for i, a := range addrs {
-		mem.store(a, isa.Int(int64(i)*10))
-	}
-	mem.store(-7, isa.Err())
-	for i, a := range addrs {
-		if v, ok := mem.load(a); !ok || !v.Equal(isa.Int(int64(i)*10)) {
-			t.Errorf("load(%d) = %v, %v; want %d", a, v, ok, i*10)
-		}
-	}
-	if v, ok := mem.load(-7); !ok || !v.IsErr() {
-		t.Errorf("load(-7) = %v, %v; want err", v, ok)
-	}
-	for _, a := range []int64{2, -2, math.MaxInt64 - 1} {
-		if _, ok := mem.load(a); ok {
-			t.Errorf("load(%d) defined; never stored", a)
-		}
-	}
-}
-
-func TestMemGrowthAndOverwrite(t *testing.T) {
-	var mem memory
-	const n = 10 * minMemSlots
-	for i := int64(0); i < n; i++ {
-		mem.store(i*8-n, isa.Int(i))
-	}
-	for i := int64(0); i < n; i += 3 {
-		mem.store(i*8-n, isa.Int(-i))
-	}
-	if mem.n != n || len(mem.slots) <= minMemSlots {
-		t.Fatalf("%d words in %d slots after %d stores", mem.n, len(mem.slots), n)
-	}
-	for i := int64(0); i < n; i++ {
-		want := i
-		if i%3 == 0 {
-			want = -i
-		}
-		if v, ok := mem.load(i*8 - n); !ok || !v.Equal(isa.Int(want)) {
-			t.Fatalf("load(%d) = %v, %v; want %d", i*8-n, v, ok, want)
-		}
-		if _, ok := mem.load(i*8 - n + 1); ok {
-			t.Fatalf("load(%d) defined; never stored", i*8-n+1)
-		}
-	}
-	if got := len(mem.snapshot()); got != n {
-		t.Errorf("snapshot holds %d words, want %d", got, n)
-	}
-}
-
 // TestMemUndefinedLoadRaises: a load from a never-stored word raises, also
 // from a grown table and from a wild address an err-free value produced.
 func TestMemUndefinedLoadRaises(t *testing.T) {
@@ -102,7 +51,8 @@ loop:	st $2 200($2)
 	if !snap.RunUntil(3, 1) {
 		t.Fatal("breakpoint not reached")
 	}
-	want := snap.MemSnapshot()
+	var want isa.Memory
+	snap.CopyMem(&want)
 	var m Machine
 	for round := 0; round < 2; round++ {
 		m.Restore(snap)
@@ -112,8 +62,10 @@ loop:	st $2 200($2)
 			t.Fatalf("round %d: restored run %v, output %q", round, res.Status, RenderOutput(res.Output))
 		}
 	}
-	if got := snap.MemSnapshot(); len(got) != len(want) || !got[100].Equal(isa.Int(7)) {
-		t.Errorf("snapshot memory changed: %v, want %v", got, want)
+	var got isa.Memory
+	snap.CopyMem(&got)
+	if v, _ := got.Load(100); got.Len() != want.Len() || !v.Equal(isa.Int(7)) {
+		t.Errorf("snapshot memory changed: %d words, *(100) = %v; want %d words, 7", got.Len(), v, want.Len())
 	}
 	if v := snap.Reg(1); !v.Equal(isa.Int(7)) {
 		t.Errorf("snapshot $1 = %v, want 7", v)

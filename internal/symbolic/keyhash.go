@@ -148,12 +148,12 @@ func hashLoc(h *Hash64, l isa.Loc) {
 // Key strings are equal — without sorting or rendering anything.
 func (s *Store) KeyHash(h *Hash64) {
 	var terms uint64
-	for l, t := range s.terms {
+	for _, lt := range s.terms {
 		terms += entryHash(func(e *Hash64) {
-			hashLoc(e, l)
-			e.Int(int64(t.Root))
-			e.Int(t.Coeff)
-			e.Int(t.Off)
+			hashLoc(e, lt.loc)
+			e.Int(int64(lt.term.Root))
+			e.Int(lt.term.Coeff)
+			e.Int(lt.term.Off)
 		})
 	}
 	h.Word(uint64(len(s.terms)))
@@ -162,7 +162,7 @@ func (s *Store) KeyHash(h *Hash64) {
 	var cons uint64
 	var constrained uint64
 	for r, c := range s.cons {
-		if c.Unconstrained() {
+		if c == nil || c.Unconstrained() {
 			continue
 		}
 		constrained++

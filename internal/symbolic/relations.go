@@ -82,7 +82,10 @@ func negOvf(v int64) (int64, bool) {
 }
 
 func (s *Store) addEdge(from, to RootID, weight int64) {
-	s.materialize()
+	if s.shared&sharedRels != 0 {
+		s.rels = append(make([]diffEdge, 0, len(s.rels)+1), s.rels...)
+		s.shared &^= sharedRels
+	}
 	s.relsSatCached = false
 	// Keep only the tightest edge per pair.
 	for i, e := range s.rels {
@@ -141,7 +144,7 @@ func (s *Store) relsSolve() bool {
 		edges = append(edges, edge{e.from, e.to, e.weight})
 	}
 	for r := range nodes {
-		c := s.cons[r]
+		c := s.root(r)
 		if c == nil {
 			continue
 		}

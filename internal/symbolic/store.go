@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,24 +16,29 @@ import (
 //
 // A Store belongs to exactly one symbolic state; forking a state clones it.
 //
+// Both maps are dense slices: terms is a short unordered list of (location,
+// term) pairs — few locations hold err at once — and cons is indexed by
+// RootID, nil meaning absent. Every walk over them either sorts (Locs,
+// Roots, Key) or folds commutatively (KeyHash), so their order never shows.
+//
 // The constraint sets inside cons are interned (intern.go): each value is an
 // immutable canonical *Constraints, so cloning, snapshotting (Push/Pop), and
 // hashing never copy or re-render a set. Mutation is functional — copy the
 // set, refine it, re-intern, swap the pointer — which is exactly the delta a
 // forked child re-checks: the one root the fork constrained.
 type Store struct {
-	terms map[isa.Loc]Term
-	cons  map[RootID]*Constraints // values are interned, immutable
-	rels  []diffEdge              // difference constraints between roots (relations.go)
+	terms []locTerm
+	cons  []*Constraints // indexed by RootID; values are interned, immutable
+	rels  []diffEdge     // difference constraints between roots (relations.go)
 	next  RootID
-	// cow marks the maps (and the rels backing array) as possibly shared
-	// with another Store after a Clone or Push; the first mutation copies
-	// them (materialize). Most forked states never touch their constraint
-	// map again — a control-flow fork constrains only the root involved,
-	// and plenty of successors terminate without learning anything new — so
-	// sharing until first write removes the dominant Clone allocation from
-	// the search hot path.
-	cow bool
+	// shared marks the slices whose backing arrays may be referenced by
+	// another Store after a Clone or Push, one bit per slice (sharedTerms,
+	// sharedCons, sharedRels); the first mutation of a slice copies it.
+	// Most forked states never touch their store again — a control-flow
+	// fork constrains only the root involved, and plenty of successors
+	// terminate without learning anything new — and a fork that only
+	// constrains a root copies cons but not terms.
+	shared uint8
 	// relsSat caches the Bellman-Ford verdict over the difference graph;
 	// valid while relsSatCached. Any constraint mutation invalidates it, so
 	// the solver re-runs only when the relations or bounds actually moved —
@@ -41,101 +47,115 @@ type Store struct {
 	relsSatCached bool
 }
 
-// NewStore returns an empty constraint map.
-func NewStore() *Store {
-	return &Store{
-		terms: make(map[isa.Loc]Term),
-		cons:  make(map[RootID]*Constraints),
-	}
+// locTerm is one entry of the location→term map.
+type locTerm struct {
+	loc  isa.Loc
+	term Term
 }
+
+// Bits of Store.shared.
+const (
+	sharedTerms uint8 = 1 << iota
+	sharedCons
+	sharedRels
+	sharedAll = sharedTerms | sharedCons | sharedRels
+)
+
+// NewStore returns an empty constraint map.
+func NewStore() *Store { return &Store{} }
 
 // Clone returns a logically independent copy, used when forking execution.
-// The copy is lazy (copy-on-write): both stores share the underlying maps
-// until one of them mutates, at which point the mutating side copies first.
-// A Store belongs to exactly one symbolic state and states of one search are
-// explored by one goroutine, so the sharing needs no synchronization.
+// The copy is lazy (copy-on-write): both stores share the underlying slices
+// until one of them mutates a slice, at which point the mutating side copies
+// that slice first. A Store belongs to exactly one symbolic state and states
+// of one search are explored by one goroutine, so the sharing needs no
+// synchronization.
 func (s *Store) Clone() *Store {
-	s.cow = true
-	return &Store{
-		terms:         s.terms,
-		cons:          s.cons,
-		rels:          s.rels,
-		next:          s.next,
-		cow:           true,
-		relsSat:       s.relsSat,
-		relsSatCached: s.relsSatCached,
+	s.shared = sharedAll
+	c := *s
+	return &c
+}
+
+// ownTerms makes terms private before a mutation, with room for one more.
+func (s *Store) ownTerms() {
+	if s.shared&sharedTerms != 0 {
+		s.terms = append(make([]locTerm, 0, len(s.terms)+1), s.terms...)
+		s.shared &^= sharedTerms
 	}
 }
 
-// materialize copies the shared map shells before the first mutation after a
-// Clone or Push. The *Constraints values are interned and immutable, so only
-// the shells are copied — never the sets themselves.
-func (s *Store) materialize() {
-	if !s.cow {
+// ownCons makes cons private before a mutation, long enough to index r.
+func (s *Store) ownCons(r RootID) {
+	n := max(len(s.cons), int(r)+1)
+	if s.shared&sharedCons != 0 {
+		cons := make([]*Constraints, n, n+1)
+		copy(cons, s.cons)
+		s.cons = cons
+		s.shared &^= sharedCons
 		return
 	}
-	terms := make(map[isa.Loc]Term, len(s.terms)+1)
-	for l, t := range s.terms {
-		terms[l] = t
+	for len(s.cons) < n {
+		s.cons = append(s.cons, nil)
 	}
-	cons := make(map[RootID]*Constraints, len(s.cons)+1)
-	for r, c := range s.cons {
-		cons[r] = c
+}
+
+// setRoot swaps in r's interned constraint set.
+func (s *Store) setRoot(r RootID, c *Constraints) {
+	s.ownCons(r)
+	s.cons[r] = c
+	s.relsSatCached = false // bounds feed the difference-graph solve
+}
+
+// root returns r's constraint set, or nil when r has none.
+func (s *Store) root(r RootID) *Constraints {
+	if r < 0 || int(r) >= len(s.cons) {
+		return nil
 	}
-	var rels []diffEdge
-	if len(s.rels) > 0 {
-		rels = make([]diffEdge, len(s.rels))
-		copy(rels, s.rels)
+	return s.cons[r]
+}
+
+// termIndex returns loc's position in terms, or -1.
+func (s *Store) termIndex(loc isa.Loc) int {
+	for i := range s.terms {
+		if s.terms[i].loc == loc {
+			return i
+		}
 	}
-	s.terms, s.cons, s.rels = terms, cons, rels
-	s.cow = false
+	return -1
 }
 
 // Scope is a savepoint of the store's entire constraint state, captured by
-// Push and restored by Pop. Because the maps are copy-on-write shells over
+// Push and restored by Pop. Because the slices are copy-on-write over
 // immutable interned values, a scope is O(1) to take and to restore: Push
-// freezes the current shells, the next mutation copies them, and Pop swaps
-// the frozen shells back. A scope answers "would this conjunction be
+// freezes the current slices, the next mutation copies them, and Pop swaps
+// the frozen slices back. A scope answers "would this conjunction be
 // feasible?" for any constraint without cloning the whole state; the fork
 // enumeration's equality probes use the cheaper read-only AdmitsEq.
 type Scope struct {
-	terms         map[isa.Loc]Term
-	cons          map[RootID]*Constraints
-	rels          []diffEdge
-	next          RootID
-	relsSat       bool
-	relsSatCached bool
+	store Store
 }
 
 // Push opens a constraint scope: a savepoint Pop rewinds to. Scopes nest;
 // Pop in reverse order of Push.
 func (s *Store) Push() Scope {
-	s.cow = true
-	return Scope{
-		terms:         s.terms,
-		cons:          s.cons,
-		rels:          s.rels,
-		next:          s.next,
-		relsSat:       s.relsSat,
-		relsSatCached: s.relsSatCached,
-	}
+	s.shared = sharedAll
+	return Scope{store: *s}
 }
 
 // Pop rewinds the store to the savepoint: every term, constraint, relation,
 // and root minted since the matching Push is discarded.
 func (s *Store) Pop(sc Scope) {
-	s.terms, s.cons, s.rels, s.next = sc.terms, sc.cons, sc.rels, sc.next
-	s.relsSat, s.relsSatCached = sc.relsSat, sc.relsSatCached
-	// The restored shells may still be shared with clones taken between
+	*s = sc.store
+	// The restored slices may still be shared with clones taken between
 	// Push and Pop; stay copy-on-write.
-	s.cow = true
+	s.shared = sharedAll
 }
 
 // NewRoot introduces a fresh, unconstrained erroneous quantity.
 func (s *Store) NewRoot() RootID {
-	s.materialize()
 	r := s.next
 	s.next++
+	s.ownCons(r)
 	s.cons[r] = internedEmpty
 	return r
 }
@@ -146,8 +166,12 @@ func (s *Store) RootsMinted() RootID { return s.next }
 
 // SetTerm records that loc holds err with symbolic value t.
 func (s *Store) SetTerm(loc isa.Loc, t Term) {
-	s.materialize()
-	s.terms[loc] = t
+	s.ownTerms()
+	if i := s.termIndex(loc); i >= 0 {
+		s.terms[i].term = t
+		return
+	}
+	s.terms = append(s.terms, locTerm{loc, t})
 }
 
 // Inject marks loc as holding a freshly injected err and returns its root.
@@ -162,11 +186,18 @@ func (s *Store) Inject(loc isa.Loc) RootID {
 // constraints are retained: they describe the erroneous quantity itself,
 // which other locations may still reference.
 func (s *Store) Clear(loc isa.Loc) {
-	if _, ok := s.terms[loc]; !ok {
+	i := s.termIndex(loc)
+	if i < 0 {
 		return
 	}
-	s.materialize()
-	delete(s.terms, loc)
+	// Truncating writes nothing, so a shared list is copied only when the
+	// last term must move into the gap.
+	last := len(s.terms) - 1
+	if i != last {
+		s.ownTerms()
+		s.terms[i] = s.terms[last]
+	}
+	s.terms = s.terms[:last]
 }
 
 // HasTerms reports whether any location holds err.
@@ -174,18 +205,20 @@ func (s *Store) HasTerms() bool { return len(s.terms) > 0 }
 
 // Term returns loc's symbolic term, if it holds err.
 func (s *Store) Term(loc isa.Loc) (Term, bool) {
-	t, ok := s.terms[loc]
-	return t, ok
+	if i := s.termIndex(loc); i >= 0 {
+		return s.terms[i].term, true
+	}
+	return Term{}, false
 }
 
 // TermOrFresh returns loc's term, minting a fresh root if the location holds
 // err but no term was recorded (e.g. err stored through an unknown pointer).
 func (s *Store) TermOrFresh(loc isa.Loc) Term {
-	if t, ok := s.terms[loc]; ok {
+	if t, ok := s.Term(loc); ok {
 		return t
 	}
-	t := FreshTerm(s.NewRoot()) // NewRoot materialized
-	s.terms[loc] = t
+	t := FreshTerm(s.NewRoot())
+	s.SetTerm(loc, t)
 	return t
 }
 
@@ -194,15 +227,13 @@ func (s *Store) TermOrFresh(loc isa.Loc) Term {
 // refine the mutable copy, re-intern, swap the pointer. Returns f's verdict
 // (conventionally "still satisfiable").
 func (s *Store) updateRoot(r RootID, room int, f func(*Constraints) bool) bool {
-	s.materialize()
-	cur, ok := s.cons[r]
-	if !ok {
+	cur := s.root(r)
+	if cur == nil {
 		cur = internedEmpty
 	}
 	mut := cur.cloneWithRoom(room)
 	sat := f(mut)
-	s.cons[r] = Intern(mut)
-	s.relsSatCached = false // bounds feed the difference-graph solve
+	s.setRoot(r, Intern(mut))
 	return sat
 }
 
@@ -211,14 +242,12 @@ func (s *Store) updateRoot(r RootID, room int, f func(*Constraints) bool) bool {
 // prune the state).
 func (s *Store) ConstrainRoot(r RootID, cmp isa.Cmp, v int64) bool {
 	if cmp == isa.CmpEq {
-		if cur, ok := s.cons[r]; !ok || cur.Admits(v) {
+		if cur := s.root(r); cur == nil || cur.Admits(v) {
 			// A feasible equality pins the root: AddCmp would leave exactly
 			// lo == hi == v, every disequality normalized away, so skip
 			// copying them.
 			pinned := Constraints{hasLo: true, lo: v, hasHi: true, hi: v}
-			s.materialize()
-			s.cons[r] = internCopy(&pinned)
-			s.relsSatCached = false
+			s.setRoot(r, internCopy(&pinned))
 			return true
 		}
 	}
@@ -293,24 +322,31 @@ func (s *Store) ConstrainTermNotIn(t Term, vals []int64, sub int64) bool {
 // can make r exact, so calling this for the root just constrained keeps the
 // store free of terms over exact roots.
 func (s *Store) ConcretizeRoot(r RootID, set func(loc isa.Loc, v int64)) {
-	c, ok := s.cons[r]
-	if !ok {
+	c := s.root(r)
+	if c == nil {
 		return
 	}
 	root, exact := c.Exact()
 	if !exact {
 		return
 	}
-	s.materialize()
-	for loc, t := range s.terms {
-		if t.Root != r {
-			continue
+	// Compact the terms that stay symbolic. Truncating writes nothing, so a
+	// shared list is copied only when a kept term must move down.
+	kept := 0
+	for i, lt := range s.terms {
+		if lt.term.Root == r {
+			if v, ok := lt.term.at(root); ok {
+				set(lt.loc, v)
+				continue
+			}
 		}
-		if v, ok := t.at(root); ok {
-			set(loc, v)
-			delete(s.terms, loc)
+		if kept != i {
+			s.ownTerms()
+			s.terms[kept] = lt
 		}
+		kept++
 	}
+	s.terms = s.terms[:kept]
 }
 
 // AdmitsEq reports whether conjoining "t == v" would leave t's root
@@ -326,8 +362,8 @@ func (s *Store) AdmitsEq(t Term, v int64) bool {
 	if tautology {
 		return true
 	}
-	c, found := s.cons[t.Root]
-	if !found {
+	c := s.root(t.Root)
+	if c == nil {
 		return true
 	}
 	return c.Admits(rootVal)
@@ -336,8 +372,8 @@ func (s *Store) AdmitsEq(t Term, v int64) bool {
 // ExactValue reports whether the constraints pin t to a single concrete
 // value, enabling the executor to concretize the location.
 func (s *Store) ExactValue(t Term) (int64, bool) {
-	c, ok := s.cons[t.Root]
-	if !ok {
+	c := s.root(t.Root)
+	if c == nil {
 		return 0, false
 	}
 	root, ok := c.Exact()
@@ -352,7 +388,7 @@ func (s *Store) ExactValue(t Term) (int64, bool) {
 // global satisfiability.
 func (s *Store) Satisfiable() bool {
 	for _, c := range s.cons {
-		if !c.Satisfiable() {
+		if c != nil && !c.Satisfiable() {
 			return false
 		}
 	}
@@ -362,24 +398,32 @@ func (s *Store) Satisfiable() bool {
 // Roots returns the roots in increasing order.
 func (s *Store) Roots() []RootID {
 	out := make([]RootID, 0, len(s.cons))
-	for r := range s.cons {
-		out = append(out, r)
+	for r, c := range s.cons {
+		if c != nil {
+			out = append(out, RootID(r))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // RootConstraints returns the constraint set recorded for r, or nil.
-func (s *Store) RootConstraints(r RootID) *Constraints { return s.cons[r] }
+func (s *Store) RootConstraints(r RootID) *Constraints { return s.root(r) }
 
 // Locs returns the locations currently holding err, registers first, both
 // groups sorted.
 func (s *Store) Locs() []isa.Loc {
-	out := make([]isa.Loc, 0, len(s.terms))
-	for l := range s.terms {
-		out = append(out, l)
+	terms := s.sortedTerms()
+	out := make([]isa.Loc, len(terms))
+	for i, lt := range terms {
+		out[i] = lt.loc
 	}
-	sort.Slice(out, func(i, j int) bool { return locLess(out[i], out[j]) })
+	return out
+}
+
+// sortedTerms returns a copy of terms in Locs order.
+func (s *Store) sortedTerms() []locTerm {
+	out := slices.Clone(s.terms)
+	sort.Slice(out, func(i, j int) bool { return locLess(out[i].loc, out[j].loc) })
 	return out
 }
 
@@ -396,13 +440,11 @@ func locLess(a, b isa.Loc) bool {
 // Key returns a canonical encoding of the store for state hashing.
 func (s *Store) Key() string {
 	var b strings.Builder
-	for _, l := range s.Locs() {
-		t := s.terms[l]
-		fmt.Fprintf(&b, "%s=%s;", l, t)
+	for _, lt := range s.sortedTerms() {
+		fmt.Fprintf(&b, "%s=%s;", lt.loc, lt.term)
 	}
-	for _, r := range s.Roots() {
-		c := s.cons[r]
-		if c.Unconstrained() {
+	for r, c := range s.cons {
+		if c == nil || c.Unconstrained() {
 			continue
 		}
 		fmt.Fprintf(&b, "e#%d:%s;", r, c.Key())
@@ -414,20 +456,15 @@ func (s *Store) Key() string {
 // Describe renders the store for reports: which locations hold err and what
 // is known about each erroneous quantity.
 func (s *Store) Describe() string {
-	locs := s.Locs()
-	if len(locs) == 0 && len(s.cons) == 0 {
-		return "no symbolic state"
-	}
 	var b strings.Builder
-	for i, l := range locs {
+	for i, lt := range s.sortedTerms() {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s=%s", l, s.terms[l])
+		fmt.Fprintf(&b, "%s=%s", lt.loc, lt.term)
 	}
-	for _, r := range s.Roots() {
-		c := s.cons[r]
-		if c.Unconstrained() {
+	for r, c := range s.cons {
+		if c == nil || c.Unconstrained() {
 			continue
 		}
 		if b.Len() > 0 {

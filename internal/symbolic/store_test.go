@@ -110,6 +110,49 @@ func TestStoreCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestStoreTermListCopyOnWrite: clones share the term list, and every way a
+// clone shrinks or grows it — concretizing, clearing the last or a middle
+// location, adding one after a truncation — leaves the parent's list intact,
+// and the parent's own writes leave the clones intact.
+func TestStoreTermListCopyOnWrite(t *testing.T) {
+	s := NewStore()
+	r0, r1 := s.NewRoot(), s.NewRoot()
+	for reg := isa.Reg(1); reg <= 4; reg++ {
+		s.SetTerm(isa.RegLoc(reg), FreshTerm([]RootID{r0, r1}[reg%2]))
+	}
+	want := s.Key()
+
+	pinned := s.Clone()
+	pinned.ConstrainRoot(r1, isa.CmpEq, 7)
+	var set []isa.Loc
+	pinned.ConcretizeRoot(r1, func(loc isa.Loc, v int64) { set = append(set, loc) })
+	if len(set) != 2 || len(pinned.Locs()) != 2 {
+		t.Errorf("concretized %v, %v left; want $2 and $4 concretized, $1 and $3 left", set, pinned.Locs())
+	}
+	truncated := s.Clone()
+	truncated.Clear(isa.RegLoc(4))
+	truncated.SetTerm(isa.RegLoc(5), FreshTerm(r0))
+	swapped := s.Clone()
+	swapped.Clear(isa.RegLoc(1))
+	if got := s.Key(); got != want {
+		t.Errorf("clone writes leaked into the parent:\n got %q\nwant %q", got, want)
+	}
+	if _, ok := truncated.Term(isa.RegLoc(4)); ok || len(truncated.Locs()) != 4 {
+		t.Errorf("truncated clone holds %v", truncated.Locs())
+	}
+	if _, ok := swapped.Term(isa.RegLoc(1)); ok || len(swapped.Locs()) != 3 {
+		t.Errorf("swapped clone holds %v", swapped.Locs())
+	}
+
+	// The parent's own writes stay out of its clones.
+	before := truncated.Key()
+	s.SetTerm(isa.RegLoc(6), FreshTerm(r1))
+	s.Clear(isa.RegLoc(2))
+	if got := truncated.Key(); got != before {
+		t.Errorf("parent writes leaked into a clone:\n got %q\nwant %q", got, before)
+	}
+}
+
 func TestStoreLocsSorted(t *testing.T) {
 	s := NewStore()
 	s.Inject(isa.MemLoc(50))

@@ -76,8 +76,8 @@ func TestCheckMemoryTargetSymbolic(t *testing.T) {
 			okSeen = true
 			// Passing requires the stored value to equal 7; the memory cell
 			// must have been concretized.
-			if v, okc := f.Mem[50]; !okc || !v.Equal(isa.Int(7)) {
-				t.Errorf("pass branch memory %v", f.Mem[50])
+			if v, okc := f.Mem.Load(50); !okc || !v.Equal(isa.Int(7)) {
+				t.Errorf("pass branch memory %v", v)
 			}
 		case OutcomeDetected:
 			detSeen = true

@@ -385,12 +385,20 @@ func TestFromMachineTransfersState(t *testing.T) {
 		t.Fatal("breakpoint not reached")
 	}
 	st := FromMachine(m, u.Detectors, DefaultOptions())
-	st.SetInput([]int64{9})
 	if st.PC != 3 || st.Steps != m.Steps() {
 		t.Fatalf("PC/steps not transferred: %d/%d", st.PC, st.Steps)
 	}
-	if v, ok := st.Mem[50]; !ok || !v.Equal(isa.Int(7)) {
+	if v, ok := st.Mem.Load(50); !ok || !v.Equal(isa.Int(7)) {
 		t.Fatal("memory not transferred")
+	}
+	if len(st.In) != 1 || !st.In[0].Equal(isa.Int(9)) || st.InPos != 0 {
+		t.Fatalf("unread input not transferred: %v at %d", st.In, st.InPos)
+	}
+	// The state's memory is a copy: the machine runs on without touching it.
+	m.SetMem(50, isa.Int(-1))
+	m.SetMem(51, isa.Int(1))
+	if v, _ := st.Mem.Load(50); !v.Equal(isa.Int(7)) || st.Mem.Len() != 1 {
+		t.Fatalf("machine stores show in the lifted state: *(50) = %v, %d words", v, st.Mem.Len())
 	}
 	terminals := exploreAll(t, st)
 	if len(terminals) != 1 || terminals[0].OutputString() != "pre9" {
@@ -455,8 +463,8 @@ out:	halt
 		if f.Outcome() != OutcomeNormal {
 			t.Fatalf("outcome %v (%v)", f.Outcome(), f.Exc)
 		}
-		if v, ok := f.Mem[100]; !ok || !v.Equal(isa.Int(5)) {
-			t.Errorf("defined word overwritten despite contradiction: %v", f.Mem[100])
+		if v, ok := f.Mem.Load(100); !ok || !v.Equal(isa.Int(5)) {
+			t.Errorf("defined word overwritten despite contradiction: %v", v)
 		}
 	}
 	if len(terminals) != 2 {

@@ -102,7 +102,7 @@ func (s *State) StepInPlace() bool {
 		}
 		s.Steps++
 		addr := base.MustConcrete() + op.Imm
-		v, defined := s.Mem[addr]
+		v, defined := s.Mem.Load(addr)
 		switch {
 		case !defined:
 			s.raise(isa.ExcIllegalAddr, "load from undefined "+strconv.FormatInt(addr, 10))

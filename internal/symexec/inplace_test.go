@@ -47,7 +47,7 @@ func termInvariant(s *State) error {
 	for _, loc := range s.Sym.Locs() {
 		switch {
 		case loc.IsMem:
-			if v, ok := s.Mem[loc.Addr]; !ok || !v.IsErr() {
+			if v, ok := s.Mem.Load(loc.Addr); !ok || !v.IsErr() {
 				return fmt.Errorf("pc %d: %s holds %v (defined %v) but has term %v", s.PC, loc, v, ok, s.Sym.TermOrFresh(loc))
 			}
 		case loc.Reg != isa.RegZero && !s.Regs[loc.Reg].IsErr():

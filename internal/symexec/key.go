@@ -95,13 +95,15 @@ func (s *State) hashConfig(withSteps bool) uint64 {
 	for r := range s.Regs {
 		hashValue(&h, s.Regs[r])
 	}
-	// Memory is unordered: fold a per-entry hash commutatively so the map
-	// needs no sorting. Key() sorts addresses for the same canonicality.
+	// Slot order is not canonical: fold a per-word hash commutatively so the
+	// table needs no sorting. Key() sorts addresses for the same
+	// canonicality.
 	var mem uint64
-	for a, v := range s.Mem {
+	s.Mem.Range(func(a int64, v isa.Value) bool {
 		mem += entryHash(a, v)
-	}
-	h.Word(uint64(len(s.Mem)))
+		return true
+	})
+	h.Word(uint64(s.Mem.Len()))
 	h.Word(mem)
 	s.Sym.KeyHash(&h)
 	// The output stream is ordered but Key() compares its rendering, where

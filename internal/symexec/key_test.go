@@ -118,7 +118,7 @@ func TestKeyerCollisionAudit(t *testing.T) {
 func TestCloneMemCopyOnWrite(t *testing.T) {
 	s := stateFor(t, forkingProgram, []int64{5})
 	stepN(t, s, 2) // read; st $1 10($0)
-	if _, ok := s.Mem[10]; !ok {
+	if _, ok := s.Mem.Load(10); !ok {
 		t.Fatal("store did not populate memory")
 	}
 
@@ -127,10 +127,10 @@ func TestCloneMemCopyOnWrite(t *testing.T) {
 
 	// Parent runs ahead and writes memory again (the yes branch's st).
 	stepN(t, s, 4) // ld; beqi (taken: $2 == 5); st $2 11($0); prints
-	if _, ok := s.Mem[11]; !ok {
+	if _, ok := s.Mem.Load(11); !ok {
 		t.Fatal("parent's second store did not land")
 	}
-	if _, ok := c.Mem[11]; ok {
+	if _, ok := c.Mem.Load(11); ok {
 		t.Error("parent's store leaked into the clone's memory")
 	}
 	if got := c.Key(); got != ckey {
@@ -142,7 +142,7 @@ func TestCloneMemCopyOnWrite(t *testing.T) {
 
 	// Clone writes: the parent must not see it.
 	c.Inject(isa.MemLoc(10))
-	if s.Mem[10].IsErr() {
+	if v, _ := s.Mem.Load(10); v.IsErr() {
 		t.Error("clone's injection leaked into the parent's memory")
 	}
 	if c.Key() == ckey {

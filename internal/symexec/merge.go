@@ -35,7 +35,7 @@ func valueEq(a, b isa.Value) bool {
 func MergeCompatible(a, b *State) bool {
 	if a.PC != b.PC || a.InPos != b.InPos || a.Status != b.Status ||
 		a.Truncated != b.Truncated || len(a.In) != len(b.In) ||
-		len(a.Mem) != len(b.Mem) || len(a.Out) != len(b.Out) ||
+		a.Mem.Len() != b.Mem.Len() || len(a.Out) != len(b.Out) ||
 		len(a.Stuck) != len(b.Stuck) {
 		return false
 	}
@@ -44,11 +44,14 @@ func MergeCompatible(a, b *State) bool {
 			return false
 		}
 	}
-	for addr, av := range a.Mem {
-		bv, ok := b.Mem[addr]
-		if !ok || !valueEq(av, bv) {
-			return false
-		}
+	same := true
+	a.Mem.Range(func(addr int64, av isa.Value) bool {
+		bv, ok := b.Mem.Load(addr)
+		same = ok && valueEq(av, bv)
+		return same
+	})
+	if !same {
+		return false
 	}
 	for i := range a.Out {
 		ao, bo := a.Out[i], b.Out[i]
@@ -114,14 +117,14 @@ func (s *State) ShareableStep() bool {
 			return false
 		}
 		// Undefined address raises (terminal); an err cell loads a term.
-		v, defined := s.Mem[s.Regs[op.Rs].MustConcrete()+op.Imm]
+		v, defined := s.Mem.Load(s.Regs[op.Rs].MustConcrete() + op.Imm)
 		return defined && !v.IsErr()
 	case isa.KindSt:
 		if !conc(op.Rs) || !conc(op.Rt) {
 			return false
 		}
 		// Overwriting an err cell clears its term (a store mutation).
-		v, defined := s.Mem[s.Regs[op.Rs].MustConcrete()+op.Imm]
+		v, defined := s.Mem.Load(s.Regs[op.Rs].MustConcrete() + op.Imm)
 		return !defined || !v.IsErr()
 	case isa.KindJmp, isa.KindPrints, isa.KindNop:
 		return true

@@ -66,10 +66,9 @@ type State struct {
 
 	PC   int
 	Regs [isa.NumRegs]isa.Value
-	// Mem is the memory image. After a Clone it may be shared copy-on-write
-	// with the state it was forked from; mutate it only through the State's
-	// methods (which materialize a private copy first), never directly.
-	Mem   map[int64]isa.Value
+	// Mem is the memory image. After a Clone it shares its table
+	// copy-on-write with the state it was forked from (isa.Memory.Clone).
+	Mem   isa.Memory
 	Sym   *symbolic.Store
 	In    []isa.Value // shared, immutable
 	InPos int
@@ -92,12 +91,6 @@ type State struct {
 	// search report can flag incomplete coverage instead of silently
 	// under-counting.
 	Truncated bool
-
-	// memShared marks Mem as possibly shared with another state after a
-	// Clone; the first write copies it (materializeMem). Forks at
-	// comparisons and control transfers never touch memory before the next
-	// store instruction, so most clones never pay for the copy.
-	memShared bool
 
 	// Stats, when non-nil, tallies fork/prune/truncation events for the
 	// observability layer. The pointer is shared by every state forked from
@@ -124,7 +117,6 @@ func NewState(prog *isa.Program, dets *detector.Table, input []int64, opts Optio
 		Prog:   prog,
 		Dets:   dets,
 		Opts:   opts,
-		Mem:    make(map[int64]isa.Value),
 		Sym:    symbolic.NewStore(),
 		In:     in,
 		Status: machine.StatusRunning,
@@ -134,7 +126,9 @@ func NewState(prog *isa.Program, dets *detector.Table, input []int64, opts Optio
 // FromMachine lifts a concrete machine's current state into a symbolic state,
 // used by the checker after concretely executing the prefix up to the
 // injection breakpoint (the paper's optimization of injecting just before the
-// instruction that uses the target register, Section 6.2).
+// instruction that uses the target register, Section 6.2). The state gets a
+// private copy of the machine's memory, so the machine may be restored or
+// run on, and shares the machine's unread input.
 func FromMachine(m *machine.Machine, dets *detector.Table, opts Options) *State {
 	if dets == nil {
 		dets = detector.EmptyTable()
@@ -147,29 +141,17 @@ func FromMachine(m *machine.Machine, dets *detector.Table, opts Options) *State 
 		Dets:   dets,
 		Opts:   opts,
 		PC:     m.PC(),
-		Mem:    m.MemSnapshot(),
 		Sym:    symbolic.NewStore(),
+		In:     m.UnreadInput(),
 		Out:    m.Output(),
 		Steps:  m.Steps(),
 		Status: machine.StatusRunning,
 	}
+	m.CopyMem(&st.Mem)
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		st.Regs[r] = m.Reg(r)
 	}
-	// Remaining input: the machine consumed a prefix; re-derive the tail is
-	// not observable from outside, so FromMachine callers must pass the full
-	// input via SetInput if the program reads after the breakpoint.
 	return st
-}
-
-// SetInput installs the remaining input stream (already-consumed values
-// excluded).
-func (s *State) SetInput(vals []int64) {
-	s.In = make([]isa.Value, len(vals))
-	for i, v := range vals {
-		s.In[i] = isa.Int(v)
-	}
-	s.InPos = 0
 }
 
 // Clone returns a logically independent copy sharing immutable pieces
@@ -177,18 +159,19 @@ func (s *State) SetInput(vals []int64) {
 // eagerly, the output stream as a full slice (Out is only ever appended to,
 // and an append to a slice at capacity reallocates, so neither side sees the
 // other's), and the mutable memory image and constraint store copy-on-write:
-// both sides keep referencing the same map until one of them writes, which
-// copies first. States of one search belong to one goroutine, so the sharing
+// both sides keep referencing the same tables until one of them writes, which
+// copies first. Forks at comparisons and control transfers never touch
+// memory before the next store instruction, so most clones never pay for the
+// memory copy. States of one search belong to one goroutine, so the sharing
 // needs no synchronization.
 func (s *State) Clone() *State {
-	s.memShared = true
 	out := &State{
 		Prog:      s.Prog,
 		Dets:      s.Dets,
 		Opts:      s.Opts,
 		PC:        s.PC,
 		Regs:      s.Regs,
-		Mem:       s.Mem,
+		Mem:       s.Mem.Clone(),
 		Sym:       s.Sym.Clone(),
 		In:        s.In,
 		InPos:     s.InPos,
@@ -198,25 +181,10 @@ func (s *State) Clone() *State {
 		Exc:       s.Exc,
 		Trace:     s.Trace,
 		Truncated: s.Truncated,
-		memShared: true,
 		Stats:     s.Stats,
 		Stuck:     s.Stuck,
 	}
 	return out
-}
-
-// materializeMem copies the shared memory image before the first write after
-// a Clone.
-func (s *State) materializeMem() {
-	if !s.memShared {
-		return
-	}
-	mem := make(map[int64]isa.Value, len(s.Mem)+1)
-	for a, v := range s.Mem {
-		mem[a] = v
-	}
-	s.Mem = mem
-	s.memShared = false
 }
 
 // Running reports whether the state can still take a step.
@@ -238,8 +206,7 @@ func (s *State) Note(kind trace.Kind, format string, args ...any) {
 func (s *State) Inject(loc isa.Loc) symbolic.RootID {
 	root := s.Sym.Inject(loc)
 	if loc.IsMem {
-		s.materializeMem()
-		s.Mem[loc.Addr] = isa.Err()
+		s.Mem.Store(loc.Addr, isa.Err())
 	} else if loc.Reg != isa.RegZero {
 		s.Regs[loc.Reg] = isa.Err()
 	}
@@ -264,7 +231,7 @@ func (s *State) regOperand(r isa.Reg) symbolic.Operand {
 
 // memOperand reads the memory word at addr as a propagation operand.
 func (s *State) memOperand(addr int64) (symbolic.Operand, bool) {
-	v, ok := s.Mem[addr]
+	v, ok := s.Mem.Load(addr)
 	if !ok {
 		return symbolic.Operand{}, false
 	}
@@ -335,8 +302,7 @@ func (s *State) setMem(addr int64, val isa.Value, term symbolic.Term, hasTerm bo
 	if s.stuck(isa.MemLoc(addr)) {
 		return
 	}
-	s.materializeMem()
-	s.Mem[addr] = val
+	s.Mem.Store(addr, val)
 	if !hasTerm {
 		term = symbolic.FreshTerm(s.Sym.NewRoot())
 	}
@@ -362,13 +328,12 @@ func (s *State) setMemInt(addr int64, n int64) {
 	if len(s.Stuck) > 0 && s.stuck(isa.MemLoc(addr)) {
 		return
 	}
-	s.materializeMem()
 	if s.Sym.HasTerms() {
-		if old, ok := s.Mem[addr]; ok && old.IsErr() {
+		if old, ok := s.Mem.Load(addr); ok && old.IsErr() {
 			s.Sym.Clear(isa.MemLoc(addr))
 		}
 	}
-	s.Mem[addr] = isa.Int(n)
+	s.Mem.Store(addr, isa.Int(n))
 }
 
 // setExact writes the value a location holds once the constraint just
@@ -376,8 +341,7 @@ func (s *State) setMemInt(addr int64, n int64) {
 // the location's term).
 func (s *State) setExact(loc isa.Loc, v int64) {
 	if loc.IsMem {
-		s.materializeMem()
-		s.Mem[loc.Addr] = isa.Int(v)
+		s.Mem.Store(loc.Addr, isa.Int(v))
 	} else if loc.Reg != isa.RegZero {
 		s.Regs[loc.Reg] = isa.Int(v)
 	}
@@ -426,15 +390,11 @@ func (s *State) Key() string {
 		b.WriteByte(',')
 	}
 	b.WriteByte('|')
-	addrs := make([]int64, 0, len(s.Mem))
-	for a := range s.Mem {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
+	for _, a := range s.definedAddrsSorted() {
+		v, _ := s.Mem.Load(a)
 		b.WriteString(strconv.FormatInt(a, 10))
 		b.WriteByte('=')
-		b.WriteString(s.Mem[a].String())
+		b.WriteString(v.String())
 		b.WriteByte(',')
 	}
 	b.WriteByte('|')

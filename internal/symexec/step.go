@@ -272,10 +272,11 @@ func (s *State) forkBranch(op *isa.Lowered) []*State {
 // definedAddrsSorted returns the defined memory addresses in order. Forks
 // keep the slice in their trace cells, so it is never modified afterwards.
 func (s *State) definedAddrsSorted() []int64 {
-	addrs := make([]int64, 0, len(s.Mem))
-	for a := range s.Mem {
+	addrs := make([]int64, 0, s.Mem.Len())
+	s.Mem.Range(func(a int64, _ isa.Value) bool {
 		addrs = append(addrs, a)
-	}
+		return true
+	})
 	slices.Sort(addrs)
 	return addrs
 }
