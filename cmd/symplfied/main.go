@@ -23,14 +23,15 @@
 //	symplfied -analyze -app tcas
 //	symplfied -harden -app tcas -harden-out hardened.sym
 //
-// With -serve the process becomes a distributed campaign coordinator
-// instead of running the search itself: it partitions the injection space
-// into -tasks tasks and serves them over HTTP to symworker processes (the
-// paper's 150-node cluster harness, networked). -checkpoint/-resume then
-// journal completed tasks so a killed coordinator restarts without
-// re-running finished work:
+// With -serve the process becomes the campaign service instead of running
+// the search itself: it registers the command line's campaign, partitions
+// its injection space into -tasks tasks and serves them over HTTP to
+// symworker processes (the paper's 150-node cluster harness, networked).
+// More campaigns can be POSTed to /v1/campaigns. -store keeps every campaign
+// in a durable directory, so a killed service restarts without re-running
+// finished work; without it the campaigns live in memory:
 //
-//	symplfied -serve :8080 -app tcas -class register -goal wrong-advisory -tasks 150 -checkpoint tasks.jsonl
+//	symplfied -serve :8080 -store campaigns -app tcas -class register -goal wrong-advisory -tasks 150
 //	symworker -coordinator http://host:8080   (on each worker machine)
 //
 // Long campaigns can be hardened operationally: -timeout bounds the whole
@@ -43,7 +44,7 @@
 // Observability: -metrics-addr serves /metrics (Prometheus text),
 // /debug/vars (expvar) and /debug/pprof on a side port, and -progress logs a
 // one-line report (states/s, frontier, findings, ETA) at the given interval.
-// In -serve mode the coordinator's own address also serves these endpoints.
+// In -serve mode the service's own address also serves these endpoints.
 package main
 
 import (
@@ -109,8 +110,8 @@ func run(ctx context.Context, args []string) error {
 		graphMax  = fs.Int("graph-nodes", 0, "node cap for -graph (0: default)")
 		timeout   = fs.Duration("timeout", 0, "wall-clock bound for the whole search (0: none)")
 		injTO     = fs.Duration("per-injection-timeout", 0, "wall-clock bound per injection (0: none)")
-		ckpt      = fs.String("checkpoint", "", "journal completed injections (or, with -serve, completed tasks) to this JSON-lines file")
-		resume    = fs.Bool("resume", false, "skip injections/tasks already recorded in -checkpoint")
+		ckpt      = fs.String("checkpoint", "", "journal completed injections to this JSON-lines file")
+		resume    = fs.Bool("resume", false, "skip injections already recorded in -checkpoint")
 		retries   = fs.Int("retries", 0, "retry transiently failed injections up to N times with degraded budgets")
 		xval      = fs.Bool("crossval", false, "cross-validate the symbolic engine against concrete injection (differential testing; -class/-goal unused); exits nonzero on a conclusive SymbolicMiss")
 		xvalSeed  = fs.Int64("crossval-seed", 2008, "seed for -crossval's per-site random value derivation")
@@ -118,11 +119,11 @@ func run(ctx context.Context, args []string) error {
 		xvalOut   = fs.String("crossval-report", "", "write the full -crossval mismatch report (JSON) to this file")
 		serve     = fs.String("serve", "", "serve the campaign to symworker processes on this address (e.g. :8080) instead of searching locally")
 		lease     = fs.Duration("lease", 0, "task lease duration for -serve; a worker silent this long loses its task (0: 30s)")
-		storeDir  = fs.String("store", "", "with -serve, run the multi-tenant campaign service over this durable store directory: every open campaign is resumed from it on start, and new campaigns can be POSTed to /v1/campaigns")
-		tenant    = fs.String("tenant", "", "with -serve -store, the tenant owning the initial campaign (default: \"default\")")
-		priority  = fs.Int("priority", 0, "with -serve -store, the initial campaign's dispatch priority (higher is served first)")
-		maxLeased = fs.Int("max-leased", 0, "with -serve -store, cap on tasks one tenant may hold leased fleet-wide (0: unlimited)")
-		maxQueued = fs.Int("max-queued", 0, "with -serve -store, cap on open campaigns per tenant (0: unlimited)")
+		storeDir  = fs.String("store", "", "with -serve, keep every campaign in this durable store directory: open campaigns are resumed from it on start (default: in memory)")
+		tenant    = fs.String("tenant", "", "with -serve, the tenant owning the initial campaign (default: \"default\")")
+		priority  = fs.Int("priority", 0, "with -serve, the initial campaign's dispatch priority (higher is served first)")
+		maxLeased = fs.Int("max-leased", 0, "with -serve, cap on tasks one tenant may hold leased fleet-wide (0: unlimited)")
+		maxQueued = fs.Int("max-queued", 0, "with -serve, cap on open campaigns per tenant (0: unlimited)")
 		campaigns = fs.String("campaigns", "", "list the campaigns on a running service at this base URL (e.g. http://host:8080) and exit")
 		metrics   = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090 or :0)")
 		progress  = fs.Duration("progress", 0, "log a one-line progress report at this interval (e.g. 2s; 0: off)")
@@ -137,8 +138,8 @@ func run(ctx context.Context, args []string) error {
 	if *storeDir != "" && *serve == "" {
 		return fmt.Errorf("-store requires -serve (it is the service's durable campaign store)")
 	}
-	if *storeDir != "" && (*ckpt != "" || *resume) {
-		return fmt.Errorf("-store and -checkpoint/-resume are mutually exclusive: the store journals every campaign and always resumes open ones")
+	if *serve != "" && (*ckpt != "" || *resume) {
+		return fmt.Errorf("-checkpoint/-resume do not apply to -serve: use -store, which journals every campaign and always resumes open ones")
 	}
 
 	if *metrics != "" {
@@ -228,22 +229,19 @@ func run(ctx context.Context, args []string) error {
 			}
 			doc.Name, doc.Source, doc.MIPS = *file, string(src), *isMIPS
 		}
-		if *storeDir != "" {
-			var initial *dist.SpecDoc
-			if *app != "" || *file != "" {
-				initial = &doc
-			}
-			return serveService(ctx, *serve, *storeDir, initial, serviceOptions{
-				Lease:     *lease,
-				Tenant:    *tenant,
-				Priority:  *priority,
-				MaxLeased: *maxLeased,
-				MaxQueued: *maxQueued,
-				Traces:    *traces,
-				XvalOut:   *xvalOut,
-			}, summaryCache)
+		var initial *dist.SpecDoc
+		if *app != "" || *file != "" {
+			initial = &doc
 		}
-		return serveCampaign(ctx, *serve, doc, *lease, *ckpt, *resume, *traces, *xvalOut, summaryCache)
+		return serveService(ctx, *serve, *storeDir, initial, serviceOptions{
+			Lease:     *lease,
+			Tenant:    *tenant,
+			Priority:  *priority,
+			MaxLeased: *maxLeased,
+			MaxQueued: *maxQueued,
+			Traces:    *traces,
+			XvalOut:   *xvalOut,
+		}, summaryCache)
 	}
 
 	if *xval {
@@ -667,7 +665,7 @@ func listCampaigns(ctx context.Context, w io.Writer, base string) error {
 	return tw.Flush()
 }
 
-// serviceOptions carries the -serve -store service flags.
+// serviceOptions carries the -serve service flags.
 type serviceOptions struct {
 	Lease     time.Duration
 	Tenant    string
@@ -678,15 +676,16 @@ type serviceOptions struct {
 	XvalOut   string
 }
 
-// serveService runs the multi-tenant campaign service: a durable store-backed
-// registry serving the versioned /v1 API (plus the legacy root aliases) to
-// symworker fleets. Every open campaign in the store is resumed on start;
-// the initial document (when the command line names an app or file) is
-// registered as a campaign unless an open campaign with the same fingerprint
-// is already stored — so killing and restarting the service with the same
-// flags resumes rather than duplicates. With an initial campaign the service
-// exits once every campaign drains, printing the initial campaign's merged
-// report; started bare it serves until interrupted.
+// serveService runs the multi-tenant campaign service: a registry serving
+// the versioned /v1 API to symworker fleets, over a DiskStore at storeDir or,
+// when storeDir is empty, the registry's in-memory store. Every open
+// campaign in the store is resumed on start; the initial document (when the
+// command line names an app or file) is registered as a campaign unless an
+// open campaign with the same fingerprint is already stored — so killing and
+// restarting the service with the same flags resumes rather than
+// duplicates. With an initial campaign the service exits once every
+// campaign drains, printing the initial campaign's merged report; started
+// bare it serves until interrupted.
 func serveService(ctx context.Context, addr, storeDir string, initialDoc *dist.SpecDoc,
 	opt serviceOptions, summaryCache *symplfied.SummaryCache) error {
 
@@ -697,10 +696,15 @@ func serveService(ctx context.Context, addr, storeDir string, initialDoc *dist.S
 	if err != nil {
 		return err
 	}
-	store, err := dist.NewDiskStore(storeDir)
-	if err != nil {
-		ln.Close()
-		return err
+	var store dist.Store
+	storeName := "in memory (-store unset: campaigns are lost on exit)"
+	if storeDir != "" {
+		disk, err := dist.NewDiskStore(storeDir)
+		if err != nil {
+			ln.Close()
+			return err
+		}
+		store, storeName = disk, storeDir
 	}
 	reg, err := dist.NewRegistry(dist.RegistryConfig{
 		Store:        store,
@@ -710,7 +714,9 @@ func serveService(ctx context.Context, addr, storeDir string, initialDoc *dist.S
 	})
 	if err != nil {
 		ln.Close()
-		store.Close()
+		if store != nil {
+			store.Close()
+		}
 		return err
 	}
 
@@ -749,7 +755,7 @@ func serveService(ctx context.Context, addr, storeDir string, initialDoc *dist.S
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	fmt.Printf("campaign service on %s, store %s\n", ln.Addr(), storeDir)
+	fmt.Printf("campaign service on %s, store %s\n", ln.Addr(), storeName)
 	fmt.Printf("point workers here: symworker -coordinator http://%s\n", ln.Addr())
 	fmt.Printf("list campaigns:     symplfied -campaigns http://%s\n", ln.Addr())
 
@@ -818,109 +824,13 @@ func serveService(ctx context.Context, addr, storeDir string, initialDoc *dist.S
 	}
 	if interrupted && !merged.Complete {
 		st := initial.Status()
-		fmt.Printf("interrupted: %d tasks unfinished; restart with the same -store to resume\n",
-			st.Queued+st.Leased)
-	}
-	fmt.Printf("findings (%s, goal %s): %d\n", initialDoc.Class, initialDoc.Goal, len(sum.Findings))
-	printFindings(sum.Findings, opt.Traces)
-	return nil
-}
-
-// serveCampaign runs the distributed-campaign coordinator: it partitions the
-// injection space, serves tasks to symworker processes over HTTP, and prints
-// the merged report once every task settles. SIGINT shuts the server down
-// gracefully; with -checkpoint the settled tasks are journaled so a restart
-// with -resume re-serves only the unfinished ones.
-func serveCampaign(ctx context.Context, addr string, doc dist.SpecDoc, lease time.Duration,
-	ckpt string, resume bool, traces int, xvalOut string, summaryCache *symplfied.SummaryCache) error {
-
-	// Bind before building the coordinator: restoring a large task journal
-	// can take a while, and workers started in that window should queue in
-	// the accept backlog rather than get connection-refused.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		Doc:        doc,
-		Lease:      lease,
-		Checkpoint: ckpt,
-		Resume:     resume,
-		// With -summary-cache the fleet-shared cache served on the /summary
-		// endpoints is disk-backed, so it survives coordinator restarts.
-		SummaryCache: summaryCache,
-	})
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	defer coord.Close()
-	srv := &http.Server{Handler: coord.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	st := coord.Status()
-	fmt.Printf("coordinator on %s: %d tasks (%d already settled), lease %s\n",
-		ln.Addr(), st.Total, st.Done, coord.SpecResponse().Lease)
-	fmt.Printf("point workers here: symworker -coordinator http://%s\n", ln.Addr())
-
-	interrupted := false
-	select {
-	case <-coord.Done():
-		// Drain window: workers whose next claim raced the final completion
-		// must hear Done (and exit cleanly) before the listener goes away.
-		select {
-		case <-time.After(2 * time.Second):
-		case <-ctx.Done():
-		}
-	case <-ctx.Done():
-		interrupted = true
-	case err := <-serveErr:
-		return err
-	}
-
-	// A completed campaign may still have a straggler mid-upload of a
-	// duplicate result (large completion posts take minutes). Shutdown
-	// waits for in-flight requests and returns as soon as the last one
-	// finishes, so the generous deadline costs nothing in the common case;
-	// deriving it from ctx lets an interrupt cut the wait short. An
-	// interrupted run shuts down fast — its workers are being interrupted
-	// too and abandon their tasks.
-	parent := ctx
-	grace := 10 * time.Minute
-	if interrupted {
-		parent = context.Background()
-		grace = 5 * time.Second
-	}
-	shutdownCtx, cancel := context.WithTimeout(parent, grace)
-	defer cancel()
-	srv.Shutdown(shutdownCtx)
-	if err := coord.Close(); err != nil {
-		return err
-	}
-
-	merged := coord.Report()
-	sum := merged.Summary
-	fmt.Printf("tasks: %d launched, %d completed (%d empty, %d with findings), %d incomplete\n",
-		sum.Tasks, sum.Completed, sum.CompletedEmpty, sum.CompletedWithFinds, sum.Incomplete)
-	if merged.Crossval != nil {
-		// Cross-validation campaign: the pooled crossval report carries the
-		// per-point interruption/soundness story, so hand off wholesale.
-		return reportCrossval(merged.Crossval, xvalOut, ckpt)
-	}
-	fmt.Printf("states explored: %d over %d injections\n", sum.TotalStates, sum.TotalInjections)
-	if sum.Panics > 0 {
-		fmt.Printf("warning: %d injections panicked and were isolated\n", sum.Panics)
-	}
-	if interrupted && !merged.Complete {
-		st := coord.Status()
 		fmt.Printf("interrupted: %d tasks unfinished", st.Queued+st.Leased)
-		if ckpt != "" {
-			fmt.Printf("; re-run with -resume to serve only those from %s", ckpt)
+		if storeDir != "" {
+			fmt.Printf("; restart with the same -store to resume")
 		}
 		fmt.Println()
 	}
-	fmt.Printf("findings (%s, goal %s): %d\n", doc.Class, doc.Goal, len(sum.Findings))
-	printFindings(sum.Findings, traces)
+	fmt.Printf("findings (%s, goal %s): %d\n", initialDoc.Class, initialDoc.Goal, len(sum.Findings))
+	printFindings(sum.Findings, opt.Traces)
 	return nil
 }

@@ -172,7 +172,9 @@ func TestServeErrors(t *testing.T) {
 		// Spec document errors surface before the server starts.
 		{"-serve", "127.0.0.1:0", "-app", "factorial", "-class", "quantum"},
 		{"-serve", "127.0.0.1:0", "-app", "bogus"},
+		// The service journals to -store, not to a checkpoint file.
 		{"-serve", "127.0.0.1:0", "-app", "factorial", "-resume"},
+		{"-serve", "127.0.0.1:0", "-app", "factorial", "-checkpoint", "x"},
 		// Unusable listen address.
 		{"-serve", "256.256.256.256:99999", "-app", "factorial"},
 	} {

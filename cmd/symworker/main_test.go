@@ -29,9 +29,14 @@ func TestArgErrors(t *testing.T) {
 }
 
 // TestWorkerDrainsCampaign runs the real binary entry point against an
-// in-process coordinator until the campaign completes.
+// in-process campaign service until its one campaign completes.
 func TestWorkerDrainsCampaign(t *testing.T) {
-	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{Doc: dist.SpecDoc{
+	reg, err := dist.NewRegistry(dist.RegistryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	coord, err := reg.Create(dist.SpecDoc{
 		Name:               "factorial-register",
 		App:                "factorial",
 		Input:              []int64{5},
@@ -40,12 +45,11 @@ func TestWorkerDrainsCampaign(t *testing.T) {
 		Watchdog:           400,
 		Tasks:              2,
 		MaxFindingsPerTask: 10,
-	}})
+	}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
+	srv := httptest.NewServer(dist.NewService(reg).Handler())
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -158,9 +158,11 @@ type Spec struct {
 	// and a transient register injection the composed summaries prove benign —
 	// the err provably reaches no output, detector, or control decision on any
 	// continuation — reuses the site's fault-free representative exploration,
-	// marked Summarized. Strictly subsumes PruneDeadInjections' per-site
-	// liveness proof (a dead register's taint dies immediately) while also
-	// eliding injections whose taint dies later, across call boundaries. Like
+	// marked Summarized. It elides many injections whose taint dies later,
+	// across call boundaries, which PruneDeadInjections' per-site liveness
+	// proof cannot. It does not cover that proof, though: on the exhaustive
+	// register space some dead-register sites are not summary-benign (78 on
+	// tcas, 214 on replace; TestPruneSummaryGap pins the counts). Like
 	// PruneDeadInjections, this is an operational knob excluded from the
 	// campaign fingerprint: verdicts and report bytes are unchanged modulo
 	// Summarized markers. Set SYMPLFIED_CHECK_SUMMARIES to have every reuse
@@ -605,10 +607,10 @@ func RunInjection(spec Spec, inj faults.Injection) (InjectionReport, error) {
 // instead of exploring — the exploration is elided entirely, and the
 // returned report (marked Pruned) is what the exploration would have
 // produced. When spec.UseSummaries is set, the compositional summary proof
-// (see SummaryContext) does the same for the strictly larger class of
-// injections whose taint provably reaches nothing, marking reports
-// Summarized; an injection both classifiers cover is credited to pruning,
-// which is checked first.
+// (see SummaryContext) does the same for injections whose taint provably
+// reaches nothing, marking reports Summarized. The two classes overlap
+// without either containing the other; an injection both classifiers cover
+// is credited to pruning, which is checked first.
 func RunInjectionCtx(ctx context.Context, spec Spec, inj faults.Injection) (InjectionReport, error) {
 	if prune := spec.EnsurePrune(); prune.Prunable(inj) {
 		budget := spec.effectiveBudget()

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"testing"
 
+	"symplfied/internal/apps/factorial"
+	"symplfied/internal/apps/replace"
 	"symplfied/internal/apps/tcas"
 	"symplfied/internal/faults"
 	"symplfied/internal/isa"
@@ -242,5 +244,56 @@ func TestPruneReuseBudgetGuard(t *testing.T) {
 	p.sites.store(inj3, found, 1500)
 	if _, ok := p.sites.reuse(inj3, 1500); ok {
 		t.Errorf("memo with findings reused: findings name the injected location and cannot be rewritten")
+	}
+}
+
+// TestPruneSummaryGap pins how far compositional summaries fall short of
+// covering liveness pruning on the exhaustive register space: per program,
+// how many injections PruneContext.Prunable proves benign, how many
+// SummaryContext.Benign proves benign, and how many the liveness proof
+// covers that the summaries do not. The gap is why pruning cannot yet be
+// deleted in favour of summaries. A change to either classifier moves these
+// counts; update them only with an explanation of what moved.
+func TestPruneSummaryGap(t *testing.T) {
+	for _, tc := range []struct {
+		name                              string
+		prog                              *isa.Program
+		injections, prunable, benign, gap int
+	}{
+		{"factorial", factorial.Plain(), 372, 349, 349, 0},
+		{"tcas", tcas.Program(), 4681, 3975, 4321, 78},
+		{"replace", replace.Program(), 19406, 12631, 16821, 214},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prune := NewPruneContext(tc.prog, nil)
+			sums := NewSummaryContext(tc.prog, nil, nil)
+			injections := faults.RegisterInjections(tc.prog, false)
+			var prunable, benign, gap int
+			var first *faults.Injection
+			for i, inj := range injections {
+				p, b := prune.Prunable(inj), sums.Benign(inj)
+				if p {
+					prunable++
+				}
+				if b {
+					benign++
+				}
+				if p && !b {
+					gap++
+					if first == nil {
+						first = &injections[i]
+					}
+				}
+			}
+			t.Logf("%d injections, %d prunable, %d summary-benign, %d prunable but not summary-benign (first: %v)",
+				len(injections), prunable, benign, gap, first)
+			if len(injections) != tc.injections || prunable != tc.prunable || benign != tc.benign {
+				t.Errorf("got %d injections / %d prunable / %d summary-benign, want %d / %d / %d",
+					len(injections), prunable, benign, tc.injections, tc.prunable, tc.benign)
+			}
+			if gap != tc.gap {
+				t.Errorf("%d injections prunable but not summary-benign, want %d", gap, tc.gap)
+			}
+		})
 	}
 }

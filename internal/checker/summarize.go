@@ -51,8 +51,10 @@ func SetCheckSummaries(on bool) (restore func()) {
 // summary and every caller continuation — cannot change the exploration, so
 // the checker explores one representative per breakpoint and reuses its
 // report for the other benign registers at the same site, exactly like
-// liveness pruning but across the strictly larger class of taint that dies
-// later (or in a callee/caller) rather than immediately.
+// liveness pruning, but also for taint that dies later (or in a
+// callee/caller) rather than immediately. It is not a superset of liveness
+// pruning: some dead-register sites are not summary-benign
+// (TestPruneSummaryGap pins the per-program counts).
 type SummaryContext struct {
 	set   *summary.Set
 	sites *siteMemo

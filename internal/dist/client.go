@@ -12,11 +12,8 @@ import (
 	"time"
 )
 
-// Client is the typed HTTP client for the coordinator/service API. One
-// client serves both surfaces: methods taking a campaign ID hit the
-// campaign-scoped /v1 routes, and an empty ID selects the legacy root-level
-// paths (a pre-v1 standalone coordinator, or the service's default-campaign
-// aliases).
+// Client is the typed HTTP client for the campaign service API. Methods
+// taking a campaign ID hit the campaign-scoped /v1 routes.
 //
 // The retry and deadline policy lives here, encoded once for every consumer
 // (cmd/symworker, the e2e tests, the symplfied -campaigns subcommand):
@@ -37,7 +34,7 @@ import (
 //     is not idempotent, and a retry after a lost reply could register the
 //     document twice.
 type Client struct {
-	// Base is the coordinator/service base URL (e.g. http://host:8080).
+	// Base is the service base URL (e.g. http://host:8080).
 	Base string
 	// HTTP is the underlying client. Nil uses a client without a global
 	// timeout — per-call deadlines below bound every request instead.
@@ -93,12 +90,8 @@ func (c *Client) backoff() time.Duration {
 	return 200 * time.Millisecond
 }
 
-// path renders a campaign-scoped endpoint, or its legacy root alias when id
-// is empty (the legacy paths are "/" + the v1 operation name).
+// path renders a campaign-scoped endpoint.
 func (c *Client) path(id, op string) string {
-	if id == "" {
-		return c.Base + "/" + op
-	}
 	return c.Base + V1CampaignPath(id, op)
 }
 
@@ -168,8 +161,7 @@ func (c *Client) once(ctx context.Context, method, url string, body, out any, ti
 	return decodeResponse(resp, out)
 }
 
-// Campaigns lists every campaign on the service. A legacy standalone
-// coordinator answers 404 — callers probing for service mode rely on that.
+// Campaigns lists every campaign on the service.
 func (c *Client) Campaigns(ctx context.Context) (CampaignList, error) {
 	var out CampaignList
 	err := c.do(ctx, http.MethodGet, c.Base+PathV1Campaigns, nil, &out, c.control(), c.retries())
@@ -188,14 +180,14 @@ func (c *Client) CancelCampaign(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodPost, c.Base+V1CampaignPath(id, "cancel"), struct{}{}, nil, c.control(), c.retries())
 }
 
-// Spec fetches a campaign document ("" = legacy root).
+// Spec fetches a campaign document.
 func (c *Client) Spec(ctx context.Context, id string) (SpecResponse, error) {
 	var out SpecResponse
 	err := c.do(ctx, http.MethodGet, c.path(id, "spec"), nil, &out, c.control(), c.retries())
 	return out, err
 }
 
-// Claim asks campaign id ("" = legacy root) for a task.
+// Claim asks campaign id for a task.
 func (c *Client) Claim(ctx context.Context, id, worker string) (ClaimResponse, error) {
 	var out ClaimResponse
 	err := c.do(ctx, http.MethodPost, c.path(id, "claim"), ClaimRequest{Worker: worker}, &out, c.control(), c.retries())
@@ -209,8 +201,8 @@ func (c *Client) FleetClaim(ctx context.Context, worker string) (FleetClaimRespo
 	return out, err
 }
 
-// Heartbeat renews worker's lease on task within campaign id ("" = legacy
-// root). Single-attempt; a 409 reply wraps ErrLeaseLost.
+// Heartbeat renews worker's lease on task within campaign id.
+// Single-attempt; a 409 reply wraps ErrLeaseLost.
 func (c *Client) Heartbeat(ctx context.Context, id, worker string, task int) error {
 	err := c.do(ctx, http.MethodPost, c.path(id, "heartbeat"),
 		HeartbeatRequest{Worker: worker, Task: task}, nil, c.control(), 1)
@@ -220,21 +212,21 @@ func (c *Client) Heartbeat(ctx context.Context, id, worker string, task int) err
 	return err
 }
 
-// Complete posts a finished task result to campaign id ("" = legacy root).
+// Complete posts a finished task result to campaign id.
 func (c *Client) Complete(ctx context.Context, id string, req CompleteRequest) (CompleteResponse, error) {
 	var out CompleteResponse
 	err := c.do(ctx, http.MethodPost, c.path(id, "complete"), req, &out, c.upload(), c.retries())
 	return out, err
 }
 
-// Status fetches campaign status ("" = legacy root).
+// Status fetches campaign status.
 func (c *Client) Status(ctx context.Context, id string) (StatusResponse, error) {
 	var out StatusResponse
 	err := c.do(ctx, http.MethodGet, c.path(id, "status"), nil, &out, c.control(), c.retries())
 	return out, err
 }
 
-// Report fetches the merged campaign report ("" = legacy root).
+// Report fetches the merged campaign report.
 func (c *Client) Report(ctx context.Context, id string) (MergedReport, error) {
 	var out MergedReport
 	err := c.do(ctx, http.MethodGet, c.path(id, "report"), nil, &out, c.control(), c.retries())

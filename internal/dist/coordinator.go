@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -15,12 +14,11 @@ import (
 	"symplfied/internal/cluster"
 	"symplfied/internal/crossval"
 	"symplfied/internal/obs"
-	"symplfied/internal/summary"
 	"symplfied/internal/symexec"
 )
 
 // Coordinator-side live metrics on the shared obs registry (scraped via
-// /metrics and /debug/vars on the coordinator's own mux — Handler mounts
+// /metrics and /debug/vars on the service mux — Service.Handler mounts
 // obs.RegisterOps). These mirror the Counters struct served in
 // StatusResponse; the struct stays authoritative for the wire protocol, the
 // registry feeds scrapers and the -progress line.
@@ -49,26 +47,6 @@ const DefaultLease = 30 * time.Second
 // someone else).
 var ErrLeaseLost = errors.New("dist: lease lost")
 
-// CoordinatorConfig configures a campaign coordinator.
-type CoordinatorConfig struct {
-	// Doc is the campaign to run.
-	Doc SpecDoc
-	// Lease is the task lease duration (0: DefaultLease).
-	Lease time.Duration
-	// Checkpoint is the task journal path; empty disables checkpointing.
-	Checkpoint string
-	// Resume loads the journal before serving and marks journaled tasks
-	// done. Requires Checkpoint.
-	Resume bool
-	// SummaryCache, when non-nil, is served to workers over /summary/get
-	// and /summary/put so the fleet shares one content-addressed summary
-	// cache; a function analyzed by any worker is a hit for every other.
-	// Nil installs a default in-memory cache (the endpoints always serve).
-	SummaryCache *summary.Cache
-	// Now is the clock, injectable for tests (nil: time.Now).
-	Now func() time.Time
-}
-
 // lease records who holds a task and until when.
 type lease struct {
 	worker  string
@@ -84,11 +62,10 @@ type workerInfo struct {
 
 // Coordinator owns a campaign: the task queue, the leases, the pooled
 // results and the durable result log. All exported methods are safe for
-// concurrent use; the HTTP layer (Handler for a standalone coordinator,
-// Service for the multi-campaign registry) is a thin JSON shim over them.
+// concurrent use; Service, the HTTP layer over the Registry that owns every
+// coordinator, is a thin JSON shim over them.
 type Coordinator struct {
-	// id, tenant and priority identify the campaign within a Registry; a
-	// standalone coordinator (NewCoordinator) leaves them zero.
+	// id, tenant and priority identify the campaign within its Registry.
 	id       string
 	tenant   string
 	priority int
@@ -101,14 +78,13 @@ type Coordinator struct {
 	tasks       []cluster.Task
 
 	// cache is the fleet-wide result cache, consulted at claim time and fed
-	// on every settle. Nil disables caching (standalone coordinators).
+	// on every settle. Nil disables caching.
 	cache *ResultCache
 
-	// persist durably logs one settled result; closePersist flushes the log.
-	// Either may be nil. A persist error does not un-settle the task — see
-	// Complete for how it is surfaced.
-	persist      func(key string, payload any) error
-	closePersist func() error
+	// persist durably logs one settled result into the registry's store; nil
+	// once the registry is closed. A persist error does not un-settle the
+	// task — see Complete for how it is surfaced.
+	persist func(key string, payload any) error
 
 	// Crossval campaigns replace the symbolic search: tasks are slices of
 	// injection sites, results are per-site crossval verdicts. The lease,
@@ -116,10 +92,6 @@ type Coordinator struct {
 	// entries so the task indexing is uniform.
 	xspec  crossval.Spec
 	xtasks []cluster.PointTask
-
-	// summaries is the fleet-shared content-addressed summary cache (see
-	// CoordinatorConfig.SummaryCache). Never nil; has its own locking.
-	summaries *summary.Cache
 
 	mu       sync.Mutex
 	leases   map[int]lease
@@ -154,43 +126,38 @@ func journalKind(crossval bool, tasks int) string {
 
 func taskKey(id int) string { return fmt.Sprintf("task:%d", id) }
 
-// coordOptions configures newCoordinator, the shared constructor behind the
-// legacy single-campaign NewCoordinator and the Registry.
+// coordOptions configures newCoordinator, the Registry's one constructor for
+// created and resumed campaigns alike.
 type coordOptions struct {
-	id        string
-	tenant    string
-	priority  int
-	lease     time.Duration
-	now       func() time.Time
-	summaries *summary.Cache
-	cache     *ResultCache
+	id       string
+	tenant   string
+	priority int
+	lease    time.Duration
+	now      func() time.Time
+	cache    *ResultCache
 }
 
 // newCoordinator lowers the spec document and partitions the injection
-// space. Persistence is wired separately (see NewCoordinator and Registry):
-// the caller may call restore with previously journaled results and set
-// persist/closePersist, both before the coordinator starts serving.
+// space. Persistence is wired separately by the Registry: it may call restore
+// with previously journaled results and set persist, both before the
+// coordinator starts serving.
 func newCoordinator(doc SpecDoc, opt coordOptions) (*Coordinator, error) {
 	width := doc.Tasks
 	if width <= 0 {
 		width = 1
 	}
 	c := &Coordinator{
-		id:        opt.id,
-		tenant:    opt.tenant,
-		priority:  opt.priority,
-		doc:       doc,
-		leaseDur:  opt.lease,
-		now:       opt.now,
-		cache:     opt.cache,
-		leases:    make(map[int]lease),
-		workers:   make(map[string]*workerInfo),
-		doneCh:    make(chan struct{}),
-		eventsCh:  make(chan struct{}),
-		summaries: opt.summaries,
-	}
-	if c.summaries == nil {
-		c.summaries = summary.NewCache(0, nil)
+		id:       opt.id,
+		tenant:   opt.tenant,
+		priority: opt.priority,
+		doc:      doc,
+		leaseDur: opt.lease,
+		now:      opt.now,
+		cache:    opt.cache,
+		leases:   make(map[int]lease),
+		workers:  make(map[string]*workerInfo),
+		doneCh:   make(chan struct{}),
+		eventsCh: make(chan struct{}),
 	}
 	if doc.Crossval {
 		xspec, err := doc.BuildCrossval()
@@ -232,41 +199,6 @@ func newCoordinator(doc SpecDoc, opt coordOptions) (*Coordinator, error) {
 	return c, nil
 }
 
-// NewCoordinator builds a standalone single-campaign coordinator: lowers the
-// spec document, partitions the injection space, and (when configured) opens
-// the task journal, restoring completed tasks from it under Resume. The
-// multi-campaign service wraps the same machinery via Registry.
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.Resume && cfg.Checkpoint == "" {
-		return nil, fmt.Errorf("dist: Resume requires a Checkpoint path")
-	}
-	c, err := newCoordinator(cfg.Doc, coordOptions{
-		lease:     cfg.Lease,
-		now:       cfg.Now,
-		summaries: cfg.SummaryCache,
-	})
-	if err != nil {
-		return nil, err
-	}
-	kind := c.JournalKind()
-	if cfg.Resume {
-		entries, err := campaign.LoadJournal(cfg.Checkpoint, kind, c.fingerprint)
-		if err != nil {
-			return nil, err
-		}
-		c.restore(entries)
-	}
-	if cfg.Checkpoint != "" {
-		j, err := campaign.OpenJournal(cfg.Checkpoint, kind, c.fingerprint)
-		if err != nil {
-			return nil, err
-		}
-		c.persist = func(key string, payload any) error { return j.Append(key, payload) }
-		c.closePersist = j.Close
-	}
-	return c, nil
-}
-
 // DocFingerprint lowers doc and returns its campaign fingerprint — the key
 // by which the service recognizes resubmissions of the same document —
 // without building a coordinator.
@@ -292,9 +224,9 @@ func DocFingerprint(doc SpecDoc) (string, error) {
 func (c *Coordinator) JournalKind() string { return journalKind(c.crossval(), len(c.tasks)) }
 
 // restore settles previously journaled results. It must run before the
-// coordinator starts serving (NewCoordinator and Registry call it during
-// construction). Undecodable entries are re-run rather than trusted; settled
-// results are published to the fleet result cache when one is wired.
+// coordinator starts serving (the Registry calls it while resuming).
+// Undecodable entries are re-run rather than trusted; settled results are
+// published to the fleet result cache when one is wired.
 func (c *Coordinator) restore(entries map[string]json.RawMessage) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -539,7 +471,7 @@ func (c *Coordinator) Complete(worker string, task int, res TaskResult) (Complet
 			// compromised, so the completion is still acknowledged Accepted.
 			// That very acknowledgement hides the failure from the worker, so
 			// surface it here: log it and count it (Counters.JournalErrors,
-			// expvar journal_errors) — an operator relying on -resume must
+			// expvar journal_errors) — an operator relying on the store must
 			// learn checkpointing is failing before the restart that needs it.
 			log.Printf("dist: journal append for task %d failed: %v", task, err)
 			c.mu.Lock()
@@ -552,37 +484,16 @@ func (c *Coordinator) Complete(worker string, task int, res TaskResult) (Complet
 	return CompleteResponse{Accepted: true, Done: done}, nil
 }
 
-// SummaryGet looks up a function summary in the fleet-shared cache.
-func (c *Coordinator) SummaryGet(key string) SummaryGetResponse {
-	raw, ok := c.summaries.GetRaw(key)
-	if !ok {
-		return SummaryGetResponse{}
-	}
-	return SummaryGetResponse{Found: true, Value: raw}
-}
-
-// SummaryPut admits a worker-computed function summary into the
-// fleet-shared cache, reporting whether the value decoded as one. The keys
-// are content-addressed, so no fingerprint or ownership check is needed: a
-// well-formed value under its canonical key is correct for every consumer
-// that derives that key.
-func (c *Coordinator) SummaryPut(key string, value json.RawMessage) bool {
-	return c.summaries.PutRaw(key, value)
-}
-
-// SummaryCache exposes the fleet-shared cache (for tests and embedding).
-func (c *Coordinator) SummaryCache() *summary.Cache { return c.summaries }
-
 // Done is closed once every task has settled.
 func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 
 // Fingerprint returns the campaign fingerprint workers verify against.
 func (c *Coordinator) Fingerprint() string { return c.fingerprint }
 
-// ID returns the campaign's registry ID (empty for standalone coordinators).
+// ID returns the campaign's registry ID.
 func (c *Coordinator) ID() string { return c.id }
 
-// Tenant returns the owning tenant (empty for standalone coordinators).
+// Tenant returns the owning tenant.
 func (c *Coordinator) Tenant() string { return c.tenant }
 
 // Cancel closes the campaign: outstanding leases are dropped, further claims
@@ -809,103 +720,4 @@ func (c *Coordinator) Report() MergedReport {
 		out.Crossval = xrep
 	}
 	return out
-}
-
-// Close flushes and closes the task journal, if any. Registry-owned
-// coordinators share their store's lifecycle and have no closePersist.
-func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closePersist == nil {
-		return nil
-	}
-	err := c.closePersist()
-	c.closePersist = nil
-	c.persist = nil
-	return err
-}
-
-// Handler is the coordinator's HTTP API (see protocol.go), plus the obs
-// operational endpoints: /metrics (Prometheus text), /debug/vars (expvar
-// JSON carrying the full "symplfied" snapshot) and /debug/pprof/.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(PathSpec, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.SpecResponse())
-	})
-	mux.HandleFunc(PathClaim, func(w http.ResponseWriter, r *http.Request) {
-		var req ClaimRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, c.Claim(req.Worker))
-	})
-	mux.HandleFunc(PathHeartbeat, func(w http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		if err := c.Heartbeat(req.Worker, req.Task); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc(PathComplete, func(w http.ResponseWriter, r *http.Request) {
-		var req CompleteRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		resp, err := c.Complete(req.Worker, req.Task, req.Result)
-		if err != nil && !resp.Accepted {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc(PathSummaryGet, func(w http.ResponseWriter, r *http.Request) {
-		var req SummaryGetRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, c.SummaryGet(req.Key))
-	})
-	mux.HandleFunc(PathSummaryPut, func(w http.ResponseWriter, r *http.Request) {
-		var req SummaryPutRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		if !c.SummaryPut(req.Key, req.Value) {
-			http.Error(w, "value does not decode as a function summary", http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc(PathStatus, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Status())
-	})
-	mux.HandleFunc(PathReport, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Report())
-	})
-	obs.RegisterOps(mux)
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return false
-	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +28,7 @@ func crossvalDoc() SpecDoc {
 }
 
 // TestCrossvalFleetDeterminism is the crossval-as-distributed-workload
-// acceptance check: a coordinator plus two loopback workers must pool a
+// acceptance check: the campaign service plus two loopback workers must pool a
 // crossval report byte-identical (under encoding/json) to a single-process
 // crossval.RunCtx over the same spec.
 func TestCrossvalFleetDeterminism(t *testing.T) {
@@ -52,16 +51,10 @@ func TestCrossvalFleetDeterminism(t *testing.T) {
 		t.Fatalf("reference crossval run unsound: %s", ref.Summary())
 	}
 
-	coord, err := NewCoordinator(CoordinatorConfig{Doc: doc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord, srv := serveTestCampaign(t, doc, 0)
 	if coord.Fingerprint() != crossval.Fingerprint(xspec) {
 		t.Fatalf("coordinator fingerprint %s, crossval %s", coord.Fingerprint(), crossval.Fingerprint(xspec))
 	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -48,18 +49,34 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
+// newTestCoordinator registers testDoc() as the only campaign of a
+// MemStore-backed registry with the given lease and clock.
 func newTestCoordinator(t *testing.T, clock *fakeClock, lease time.Duration) *Coordinator {
 	t.Helper()
-	cfg := CoordinatorConfig{Doc: testDoc(), Lease: lease}
+	cfg := RegistryConfig{Lease: lease}
 	if clock != nil {
 		cfg.Now = clock.Now
 	}
-	c, err := NewCoordinator(cfg)
+	c, err := newTestRegistry(t, cfg).Create(testDoc(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// newDiskRegistry opens a registry over a DiskStore rooted at dir.
+func newDiskRegistry(t *testing.T, dir string) *Registry {
+	t.Helper()
+	store, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRegistry(RegistryConfig{Store: store})
+	if err != nil {
+		store.Close()
+		t.Fatal(err)
+	}
+	return r
 }
 
 // syntheticResult fabricates a minimal but well-formed task result whose
@@ -185,26 +202,26 @@ func TestLeaseLostDecisiveness(t *testing.T) {
 	}
 }
 
-// TestJournalErrorSurfaced: a completion that pools but fails to checkpoint
-// must still be Accepted, but the failure must be visible server-side — the
-// operator relying on -resume has to learn checkpointing is broken before
+// TestJournalErrorSurfaced: a completion that pools but fails to reach the
+// store must still be Accepted, but the failure must be visible server-side —
+// the operator relying on the store has to learn journaling is broken before
 // the restart that depends on it.
 func TestJournalErrorSurfaced(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tasks.jsonl")
-	c, err := NewCoordinator(CoordinatorConfig{Doc: testDoc(), Checkpoint: path})
+	dir := t.TempDir()
+	r := newDiskRegistry(t, dir)
+	defer r.Close()
+	c, err := r.Create(testDoc(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	if resp := c.Claim("w"); resp.Task == nil {
 		t.Fatal("claim failed")
 	}
-	// The checkpoint file goes bad mid-campaign: close the underlying
-	// journal while leaving the persist hook attached.
-	if err := c.closePersist(); err != nil {
+	// The campaign's result log goes bad mid-campaign: a directory now sits
+	// where the journal file would be opened on the first append.
+	if err := os.Mkdir(filepath.Join(dir, c.ID(), "tasks.jsonl"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	c.closePersist = nil
 	resp, err := c.Complete("w", 0, syntheticResult(1))
 	if err == nil {
 		t.Fatal("journal failure not reported")
@@ -259,12 +276,13 @@ func TestClaimDrainsToDone(t *testing.T) {
 	}
 }
 
-// TestCoordinatorResume: a restarted coordinator with Resume re-serves only
-// unfinished tasks; journaled completions are not re-run.
+// TestCoordinatorResume: a registry restarted over the same DiskStore
+// re-serves only a campaign's unfinished tasks; journaled completions are not
+// re-run.
 func TestCoordinatorResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tasks.jsonl")
-	cfg := CoordinatorConfig{Doc: testDoc(), Checkpoint: path}
-	c1, err := NewCoordinator(cfg)
+	dir := t.TempDir()
+	r1 := newDiskRegistry(t, dir)
+	c1, err := r1.Create(testDoc(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,16 +294,16 @@ func TestCoordinatorResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c1.Close(); err != nil {
+	if err := r1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	cfg.Resume = true
-	c2, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
+	r2 := newDiskRegistry(t, dir)
+	defer r2.Close()
+	c2, ok := r2.Get(c1.ID())
+	if !ok {
+		t.Fatalf("campaign %s not resumed", c1.ID())
 	}
-	defer c2.Close()
 	st := c2.Status()
 	if st.Done != 2 || st.Queued != 2 {
 		t.Fatalf("resumed status %+v, want 2 done / 2 queued", st)
@@ -310,25 +328,58 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsForeignJournal: a journal written by a different campaign
-// spec (or decomposition width) must be refused, not merged.
+// TestResumeRejectsForeignJournal: a result journal written by a different
+// campaign spec (or decomposition width) must be refused, not merged. Each
+// case moves a settled testDoc() journal under another campaign's record and
+// restarts the registry.
 func TestResumeRejectsForeignJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tasks.jsonl")
-	c1, err := NewCoordinator(CoordinatorConfig{Doc: testDoc(), Checkpoint: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1.Close()
-
 	other := testDoc()
 	other.Input = []int64{6} // different search space
-	if _, err := NewCoordinator(CoordinatorConfig{Doc: other, Checkpoint: path, Resume: true}); err == nil {
-		t.Error("foreign-spec journal accepted")
-	}
 	rewidth := testDoc()
 	rewidth.Tasks = 2 // different task boundaries
-	if _, err := NewCoordinator(CoordinatorConfig{Doc: rewidth, Checkpoint: path, Resume: true}); err == nil {
-		t.Error("journal with a different decomposition width accepted")
+	for _, tc := range []struct {
+		name string
+		doc  SpecDoc
+	}{
+		{"foreign-spec journal", other},
+		{"journal with a different decomposition width", rewidth},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r1 := newDiskRegistry(t, dir)
+			src, err := r1.Create(testDoc(), "", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := r1.Create(tc.doc, "", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := src.Claim("w")
+			if c.Task == nil {
+				t.Fatal("claim failed")
+			}
+			if _, err := src.Complete("w", c.Task.ID, syntheticResult(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := r1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			journal := func(id string) string { return filepath.Join(dir, id, "tasks.jsonl") }
+			if err := os.Rename(journal(src.ID()), journal(dst.ID())); err != nil {
+				t.Fatal(err)
+			}
+
+			store, err := NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			if r2, err := NewRegistry(RegistryConfig{Store: store}); err == nil {
+				r2.Close()
+				t.Errorf("%s accepted on resume", tc.name)
+			}
+		})
 	}
 }
 

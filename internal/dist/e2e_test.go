@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,8 +15,22 @@ import (
 	"symplfied/internal/cluster"
 )
 
-// TestEndToEndDeterminism is the subsystem's acceptance check: a coordinator
-// plus two workers over loopback HTTP — with a third "worker" that claims a
+// serveTestCampaign registers doc as the only campaign of a MemStore-backed
+// registry and serves the registry over loopback HTTP.
+func serveTestCampaign(t *testing.T, doc SpecDoc, lease time.Duration) (*Coordinator, *httptest.Server) {
+	t.Helper()
+	reg := newTestRegistry(t, RegistryConfig{Lease: lease})
+	c, err := reg.Create(doc, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewService(reg).Handler())
+	t.Cleanup(srv.Close)
+	return c, srv
+}
+
+// TestEndToEndDeterminism is the subsystem's acceptance check: the campaign
+// service plus two workers over loopback HTTP — with a third "worker" that claims a
 // task and dies, forcing a lease expiry and reassignment — must pool a
 // merged report byte-identical (under encoding/json) to a single-process
 // cluster.Run over the same spec and split. The zombie's late completion
@@ -43,13 +59,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 
 	// Distributed run. A short lease keeps the kill-and-reassign path fast.
-	coord, err := NewCoordinator(CoordinatorConfig{Doc: doc, Lease: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	coord, srv := serveTestCampaign(t, doc, 300*time.Millisecond)
 
 	// The zombie claims a task and goes silent: a worker killed mid-task.
 	// Its lease must lapse and the task be re-served to a live worker.
@@ -103,7 +113,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 
 	// The merged report over HTTP is byte-identical to the reference.
-	httpResp, err := srv.Client().Get(srv.URL + PathReport)
+	httpResp, err := srv.Client().Get(srv.URL + V1CampaignPath(coord.ID(), "report"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +162,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 
 	// Fleet status over HTTP sees all three workers and a settled verdict.
-	stResp, err := srv.Client().Get(srv.URL + PathStatus)
+	stResp, err := srv.Client().Get(srv.URL + V1CampaignPath(coord.ID(), "status"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +220,7 @@ func TestTimedOutTaskSettles(t *testing.T) {
 	// Every activated injection deadlines before exploring a single state.
 	doc.PerInjectionTimeout = time.Nanosecond
 
-	coord, err := NewCoordinator(CoordinatorConfig{Doc: doc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	coord, srv := serveTestCampaign(t, doc, 0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -251,28 +255,53 @@ func TestTimedOutTaskSettles(t *testing.T) {
 }
 
 // TestWorkerRejectsForeignFingerprint: a worker whose locally-lowered spec
-// fingerprints differently from the coordinator's must refuse to serve.
+// fingerprints differently from the service's must refuse to serve, whether
+// it is pinned to the campaign or meets it through the fleet claim.
 func TestWorkerRejectsForeignFingerprint(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{Doc: testDoc()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	// Corrupt the fingerprint the coordinator hands out.
-	sr := coord.SpecResponse()
-	sr.Fingerprint = "not-the-real-fingerprint"
-	mux := http.NewServeMux()
-	mux.HandleFunc(PathSpec, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(sr)
-	})
-	mux.Handle("/", coord.Handler())
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	for _, pinned := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pinned=%v", pinned), func(t *testing.T) {
+			coord, real := serveTestCampaign(t, testDoc(), 0)
+			// Corrupt the fingerprint the campaign's spec route hands out.
+			sr := coord.SpecResponse()
+			sr.Fingerprint = "not-the-real-fingerprint"
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET "+V1CampaignPath("{id}", "spec"), func(w http.ResponseWriter, r *http.Request) {
+				writeJSON(w, sr)
+			})
+			mux.Handle("/", real.Config.Handler)
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
 
+			cfg := WorkerConfig{Coordinator: srv.URL, ID: "w"}
+			if pinned {
+				cfg.Campaign = coord.ID()
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := RunWorker(ctx, cfg); err == nil {
+				t.Error("worker served a campaign with a mismatched fingerprint")
+			}
+		})
+	}
+}
+
+// TestWorkerRejectsNonService: a base URL that answers 404 on
+// /v1/campaigns is not a campaign service. The worker fails at once, naming
+// the URL, instead of retrying as it does while a service is starting.
+func TestWorkerRejectsNonService(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := RunWorker(ctx, WorkerConfig{Coordinator: srv.URL, ID: "w"}); err == nil {
-		t.Error("worker served a campaign with a mismatched fingerprint")
+	start := time.Now()
+	_, err := RunWorker(ctx, WorkerConfig{Coordinator: srv.URL, ID: "w"})
+	if err == nil {
+		t.Fatal("worker accepted a server without the /v1 API")
+	}
+	if want := srv.URL + PathV1Campaigns; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %s", err, want)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("a 404 was retried for %v; it is decisive", d)
 	}
 }

@@ -71,7 +71,6 @@ func fetchReportBytes(t *testing.T, base, path string) []byte {
 //     cluster.Run over the same document.
 //  5. Re-submitting A's document settles entirely from the fleet result
 //     cache — no worker lease — and yields the identical report again.
-//  6. The legacy root-level report alias serves the default campaign.
 //
 // When MULTITENANT_STATUS_DIR is set (the CI smoke job does), each
 // campaign's final StatusResponse is written there as JSON for the artifact
@@ -263,14 +262,6 @@ func TestMultiTenantFleetE2E(t *testing.T) {
 	gotA2 := fetchReportBytes(t, srv2.URL, V1CampaignPath(infoA2.ID, "report"))
 	if !bytes.Equal(gotA2, wantA) {
 		t.Errorf("cache-settled resubmission report differs from single-process run:\n got  %s\n want %s", gotA2, wantA)
-	}
-
-	// ---- Legacy alias: the root report serves the default campaign. ----
-	// Every campaign is settled, so the default is the earliest-created live
-	// one: A.
-	gotLegacy := fetchReportBytes(t, srv2.URL, PathReport)
-	if !bytes.Equal(gotLegacy, wantA) {
-		t.Errorf("legacy /report does not serve the default campaign A's bytes")
 	}
 
 	// ---- CI artifact: per-campaign final status JSON. ----

@@ -33,20 +33,7 @@ import (
 //	POST /summary/get  SummaryGetRequest -> SummaryGetResponse
 //	POST /summary/put  SummaryPutRequest -> 204
 //	GET  /debug/vars   -> expvar counters; /metrics Prometheus text
-//
-// Legacy root-level paths (thin aliases onto the service's default campaign,
-// so pre-v1 symworker flags keep working; also the whole surface of a
-// standalone Coordinator.Handler):
-//
-//	GET  /spec       POST /claim      POST /heartbeat
-//	POST /complete   GET  /status     GET  /report
 const (
-	PathSpec       = "/spec"
-	PathClaim      = "/claim"
-	PathHeartbeat  = "/heartbeat"
-	PathComplete   = "/complete"
-	PathStatus     = "/status"
-	PathReport     = "/report"
 	PathSummaryGet = "/summary/get"
 	PathSummaryPut = "/summary/put"
 
@@ -139,13 +126,12 @@ type CompleteResponse struct {
 	// Duplicate is true when the task was already complete (a re-claimed
 	// task's earlier owner posted late); the posted result was dropped.
 	Duplicate bool
-	// Done is true when the campaign has no unsettled tasks left. A worker
-	// hearing Done exits without claiming again: the coordinator may
-	// already be shutting down, and a post-completion claim would fail.
+	// Done is true when the campaign has no unsettled tasks left. A pinned
+	// or draining worker hearing Done exits without claiming again.
 	Done bool
 }
 
-// SummaryGetRequest looks up one function summary in the coordinator's
+// SummaryGetRequest looks up one function summary in the service's
 // shared content-addressed cache. The key is canonical over the function's
 // body and detector lines (internal/summary), so a served value is correct
 // for any worker that derives the same key — no fingerprint check needed.
@@ -161,8 +147,8 @@ type SummaryGetResponse struct {
 }
 
 // SummaryPutRequest publishes a computed function summary to the
-// coordinator's shared cache. The coordinator validates the value decodes
-// before admitting it.
+// service's shared cache. The service validates the value decodes before
+// admitting it.
 type SummaryPutRequest struct {
 	Key   string
 	Value json.RawMessage
@@ -194,8 +180,8 @@ type Counters struct {
 	// TasksFromCache counts tasks settled from the fleet-wide result cache
 	// at claim time, without a worker lease.
 	TasksFromCache int64
-	// JournalErrors counts completions that pooled but failed to checkpoint:
-	// nonzero means a -resume of this coordinator would re-run tasks the
+	// JournalErrors counts completions that pooled but failed to reach the
+	// store: nonzero means a restarted service would re-run tasks the
 	// operator believed journaled.
 	JournalErrors int64
 }
@@ -291,7 +277,7 @@ type Event struct {
 // StatusResponse is the live fleet status.
 type StatusResponse struct {
 	// ID, Tenant, Priority and State identify the campaign within the
-	// service; a standalone coordinator reports an empty ID and tenant.
+	// service.
 	ID       string `json:",omitempty"`
 	Tenant   string `json:",omitempty"`
 	Priority int    `json:",omitempty"`

@@ -143,13 +143,12 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 // resume rebuilds one stored campaign: lower, replay, re-attach the log.
 func (r *Registry) resume(rec CampaignRecord) (*Coordinator, error) {
 	c, err := newCoordinator(rec.Doc, coordOptions{
-		id:        rec.ID,
-		tenant:    rec.Tenant,
-		priority:  rec.Priority,
-		lease:     r.lease,
-		now:       r.now,
-		summaries: r.summaries,
-		cache:     r.cache,
+		id:       rec.ID,
+		tenant:   rec.Tenant,
+		priority: rec.Priority,
+		lease:    r.lease,
+		now:      r.now,
+		cache:    r.cache,
 	})
 	if err != nil {
 		return nil, err
@@ -182,7 +181,7 @@ func normTenant(tenant string) string {
 }
 
 // Create registers a new campaign for tenant at priority. The document is
-// lowered exactly as a standalone coordinator would lower it, the record is
+// lowered exactly as every worker lowers it, the record is
 // written to the store before the campaign is published, and the campaign ID
 // — a fingerprint prefix plus a creation sequence number — is returned via
 // the coordinator. Re-submitting an identical document creates a distinct
@@ -190,12 +189,11 @@ func normTenant(tenant string) string {
 func (r *Registry) Create(doc SpecDoc, tenant string, priority int) (*Coordinator, error) {
 	tenant = normTenant(tenant)
 	c, err := newCoordinator(doc, coordOptions{
-		tenant:    tenant,
-		priority:  priority,
-		lease:     r.lease,
-		now:       r.now,
-		summaries: r.summaries,
-		cache:     r.cache,
+		tenant:   tenant,
+		priority: priority,
+		lease:    r.lease,
+		now:      r.now,
+		cache:    r.cache,
 	})
 	if err != nil {
 		return nil, err
@@ -439,25 +437,6 @@ func (r *Registry) List() CampaignList {
 	}
 	r.mu.Unlock()
 	return out
-}
-
-// Default resolves the campaign the legacy root-level endpoints drive: the
-// first open campaign in dispatch order, else the earliest-created live one.
-func (r *Registry) Default() (*Coordinator, bool) {
-	cands := r.dispatchOrder()
-	for _, c := range cands {
-		if c.State() == StateOpen {
-			return c, true
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, id := range r.order {
-		if c, ok := r.campaigns[id]; ok {
-			return c, true
-		}
-	}
-	return nil, false
 }
 
 // Cache exposes the fleet result cache (tests, status reporting).

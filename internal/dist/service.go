@@ -19,10 +19,8 @@ const longPollWait = 25 * time.Second
 
 // Service is the versioned multi-campaign HTTP API over a Registry: the
 // /v1/campaigns lifecycle and campaign-scoped task routes, the fleet-level
-// /v1/claim dispatcher, the fleet-wide summary cache, and the legacy
-// root-level single-campaign paths as thin aliases onto the registry's
-// default campaign (so pre-v1 workers keep working unmodified). See the
-// endpoint table in protocol.go.
+// /v1/claim dispatcher and the fleet-wide summary cache. See the endpoint
+// table in protocol.go.
 type Service struct {
 	reg *Registry
 }
@@ -39,17 +37,6 @@ func (s *Service) campaign(w http.ResponseWriter, r *http.Request) (*Coordinator
 	c, ok := s.reg.Get(id)
 	if !ok {
 		http.Error(w, fmt.Sprintf("no such campaign %q", id), http.StatusNotFound)
-		return nil, false
-	}
-	return c, true
-}
-
-// defaultCampaign resolves the legacy root-level routes' target, answering
-// 404 when the service has no campaigns yet.
-func (s *Service) defaultCampaign(w http.ResponseWriter) (*Coordinator, bool) {
-	c, ok := s.reg.Default()
-	if !ok {
-		http.Error(w, "no campaigns registered", http.StatusNotFound)
 		return nil, false
 	}
 	return c, true
@@ -191,9 +178,8 @@ func (s *Service) streamSSE(c *Coordinator, w http.ResponseWriter, r *http.Reque
 	}
 }
 
-// Handler builds the service mux: the v1 API, the fleet-wide endpoints, the
-// legacy aliases, and the obs operational endpoints (/metrics, /debug/vars,
-// /debug/pprof/).
+// Handler builds the service mux: the v1 API, the fleet-wide endpoints and
+// the obs operational endpoints (/metrics, /debug/vars, /debug/pprof/).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -272,30 +258,25 @@ func (s *Service) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
-	// Legacy root-level aliases onto the default campaign: a pre-v1 worker
-	// pointed at the service drives whichever campaign Default resolves.
-	legacy := func(path string, h func(*Coordinator, http.ResponseWriter, *http.Request)) {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			c, ok := s.defaultCampaign(w)
-			if !ok {
-				return
-			}
-			h(c, w, r)
-		})
-	}
-	legacy(PathSpec, func(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.SpecResponse())
-	})
-	legacy(PathClaim, s.handleClaim)
-	legacy(PathHeartbeat, s.handleHeartbeat)
-	legacy(PathComplete, s.handleComplete)
-	legacy(PathStatus, func(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Status())
-	})
-	legacy(PathReport, func(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Report())
-	})
-
 	obs.RegisterOps(mux)
 	return mux
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return false
+	}
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
 }

@@ -144,76 +144,6 @@ func TestServiceV1Lifecycle(t *testing.T) {
 	}
 }
 
-// TestServiceLegacyAliases: the root-level paths drive the registry's default
-// campaign, so a pre-v1 consumer (empty campaign ID on the client) works
-// against the service — and 404s helpfully when nothing is registered.
-func TestServiceLegacyAliases(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	reg, cl := newTestService(t, RegistryConfig{})
-
-	// Before any campaign exists the aliases 404 (and the v1 list serves 200,
-	// which is how workers tell a quiet service from a legacy coordinator).
-	if _, err := cl.Spec(ctx, ""); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("legacy spec on empty service: %v, want 404", err)
-	}
-	if _, err := cl.Campaigns(ctx); err != nil {
-		t.Fatalf("v1 list on empty service: %v", err)
-	}
-
-	info, err := cl.Create(ctx, CreateCampaignRequest{Doc: testDoc()})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The whole task protocol over the legacy aliases.
-	sr, err := cl.Spec(ctx, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Fingerprint != info.Fingerprint {
-		t.Fatalf("legacy spec fingerprint %q, want default campaign's %q", sr.Fingerprint, info.Fingerprint)
-	}
-	for {
-		resp, err := cl.Claim(ctx, "", "legacy-w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Done {
-			break
-		}
-		if resp.Task == nil {
-			t.Fatal("legacy claim wedged")
-		}
-		if err := cl.Heartbeat(ctx, "", "legacy-w", resp.Task.ID); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl.Complete(ctx, "", CompleteRequest{
-			Worker: "legacy-w", Task: resp.Task.ID, Result: syntheticResult(resp.Task.ID + 1),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := cl.Status(ctx, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateDone || st.Done != 4 {
-		t.Fatalf("legacy status %+v", st)
-	}
-	rep, err := cl.Report(ctx, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete {
-		t.Fatal("legacy report incomplete after legacy-driven campaign")
-	}
-	// The default campaign is the one the registry reports.
-	if c, ok := reg.Default(); !ok || c.ID() != info.ID {
-		t.Errorf("default campaign %v, want %s", c, info.ID)
-	}
-}
-
 // TestServiceCreateQuota: the HTTP layer maps ErrQuota to 429.
 func TestServiceCreateQuota(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -354,7 +284,7 @@ func TestClientRetryPolicy(t *testing.T) {
 		defer srv.Close()
 		cl := NewClient(srv.URL, srv.Client())
 		cl.Backoff = time.Millisecond
-		st, err := cl.Status(ctx, "")
+		st, err := cl.Status(ctx, "c1")
 		if err != nil {
 			t.Fatalf("status after transient 502s: %v", err)
 		}
@@ -373,7 +303,7 @@ func TestClientRetryPolicy(t *testing.T) {
 		cl := NewClient(srv.URL, srv.Client())
 		cl.Backoff = time.Millisecond
 		cl.Retries = 3
-		if _, err := cl.Status(ctx, ""); err == nil {
+		if _, err := cl.Status(ctx, "c1"); err == nil {
 			t.Fatal("status succeeded against a dead server")
 		}
 		if calls.Load() != 3 {
@@ -407,7 +337,7 @@ func TestClientRetryPolicy(t *testing.T) {
 		defer srv.Close()
 		cl := NewClient(srv.URL, srv.Client())
 		cl.Backoff = time.Millisecond
-		err := cl.Heartbeat(ctx, "", "w", 0)
+		err := cl.Heartbeat(ctx, "c1", "w", 0)
 		if !errors.Is(err, ErrLeaseLost) {
 			t.Fatalf("heartbeat 409: %v, want ErrLeaseLost", err)
 		}
@@ -445,7 +375,7 @@ func TestClientRetryPolicy(t *testing.T) {
 		defer srv.Close()
 		cl := NewClient(srv.URL, srv.Client())
 		cl.Backoff = time.Millisecond
-		resp, err := cl.Complete(ctx, "", CompleteRequest{Worker: "w", Task: 0, Result: syntheticResult(1)})
+		resp, err := cl.Complete(ctx, "c1", CompleteRequest{Worker: "w", Task: 0, Result: syntheticResult(1)})
 		if err != nil || !resp.Accepted {
 			t.Fatalf("complete after a transient 502: %+v, %v", resp, err)
 		}

@@ -16,20 +16,20 @@
 // cluster.RunTaskCtx (keeping the checker's per-injection timeout and panic
 // isolation), and its serialized per-injection reports are posted back.
 //
-// Durability is a pluggable Store behind internal/campaign's JSONL journal
-// format: every campaign's record and settled results persist, so a killed
-// service resumes every open campaign — not just one checkpoint path.
+// Durability is a pluggable Store: MemStore by default, or DiskStore over
+// internal/campaign's JSONL journal format, under which every campaign's
+// record and settled results persist, so a killed service resumes every open
+// campaign.
 // Settled results also feed a fleet-wide content-addressed ResultCache
 // keyed by (fingerprint, split width, task, budgets): a re-submitted
 // document's tasks are answered from cache at claim time without a worker
 // lease. Findings stream to subscribers over per-campaign event feeds
 // (long-poll or SSE) as tasks settle.
 //
-// The original single-campaign machinery remains: Coordinator still
-// reassigns tasks whose lease heartbeats lapse, drops duplicate completions
-// from re-claimed tasks, and pools results into a merged report identical —
-// byte for byte — to a single-process cluster.Run per campaign; the legacy
-// root-level HTTP paths alias onto the registry's default campaign.
+// Within a campaign, Coordinator reassigns tasks whose lease heartbeats
+// lapse, drops duplicate completions from re-claimed tasks, and pools results
+// into a merged report identical — byte for byte — to a single-process
+// cluster.Run over the same document.
 package dist
 
 import (

@@ -37,28 +37,25 @@ var (
 
 // WorkerConfig configures a pull-based campaign worker.
 type WorkerConfig struct {
-	// Coordinator is the coordinator/service base URL (e.g. http://host:8080).
+	// Coordinator is the campaign service base URL (e.g. http://host:8080).
 	Coordinator string
 	// ID names this worker in leases and fleet status. Required.
 	ID string
 	// Client is the HTTP client (nil: a client with a sane timeout).
 	Client *http.Client
-	// Campaign pins the worker to one campaign ID on a multi-campaign
-	// service: it claims only from that campaign's routes and exits when the
-	// campaign settles. Empty serves the whole fleet (or, against a legacy
-	// standalone coordinator, its single campaign).
+	// Campaign pins the worker to one campaign ID: it claims only from that
+	// campaign's routes and exits when the campaign settles. Empty serves
+	// the whole fleet.
 	Campaign string
-	// Drain restores the pre-service exit behavior on a multi-campaign
-	// service: exit as soon as the campaign the worker just fed reports
-	// done, instead of claiming from the next open campaign.
+	// Drain makes an unpinned worker exit as soon as the campaign it just
+	// fed reports done, instead of claiming from the next open campaign.
 	Drain bool
 	// Poll is how long to wait between claims when every remaining task is
 	// leased elsewhere (0: 500ms).
 	Poll time.Duration
 	// OnTask, if set, is called when a task is claimed and again when it
 	// settles (posted, abandoned, or lost), for CLI progress output. The
-	// campaign argument is the campaign ID (empty against a legacy
-	// coordinator).
+	// campaign argument is the campaign ID.
 	OnTask func(campaign, event string, task int)
 	// Parallelism fans each leased task's injection sweep across this many
 	// cores (checker.Spec.Parallelism semantics: 0 selects GOMAXPROCS, 1 is
@@ -115,10 +112,10 @@ type sweeper struct {
 	heartbeatEvery time.Duration
 }
 
-// buildSweeper fetches campaign id's document ("" = legacy root), lowers it
-// locally, verifies the fingerprint against the coordinator's, and wraps the
-// mode's sweep in a closure so the claim/heartbeat/post loop is shared
-// between symbolic-search and crossval campaigns.
+// buildSweeper fetches campaign id's document, lowers it locally, verifies
+// the fingerprint against the service's, and wraps the mode's sweep in a
+// closure so the claim/heartbeat/post loop is shared between symbolic-search
+// and crossval campaigns.
 func buildSweeper(ctx context.Context, cl *Client, cfg WorkerConfig, id string) (*sweeper, error) {
 	sr, err := cl.Spec(ctx, id)
 	if err != nil {
@@ -184,52 +181,48 @@ func buildSweeper(ctx context.Context, cl *Client, cfg WorkerConfig, id string) 
 	return sw, nil
 }
 
-// probeService classifies the base URL: a multi-campaign service (it serves
-// GET /v1/campaigns) or a legacy standalone coordinator (404/405 there). It
-// retries transport errors briefly so a worker started moments before its
-// coordinator still connects.
-func probeService(ctx context.Context, cl *Client) (bool, error) {
+// waitForService blocks until the base URL answers GET /v1/campaigns. It
+// retries transport errors and 5xx replies briefly, so a worker started
+// moments before its service still connects; any other reply means the URL
+// is not a campaign service.
+func waitForService(ctx context.Context, cl *Client) error {
+	url := cl.Base + PathV1Campaigns
 	var lastErr error
 	for attempt := 0; attempt < 10; attempt++ {
 		if attempt > 0 && !sleepCtx(ctx, 300*time.Millisecond) {
 			break
 		}
 		var out CampaignList
-		err := cl.do(ctx, http.MethodGet, cl.Base+PathV1Campaigns, nil, &out, cl.control(), 1)
+		err := cl.do(ctx, http.MethodGet, url, nil, &out, cl.control(), 1)
 		if err == nil {
-			return true, nil
+			return nil
 		}
-		var he *httpError
-		if errors.As(err, &he) {
-			if he.status == http.StatusNotFound || he.status == http.StatusMethodNotAllowed {
-				return false, nil // legacy coordinator: no v1 surface
-			}
+		if !retryable(err) {
+			return fmt.Errorf("dist: %s is not a campaign service: %w", url, err)
 		}
 		lastErr = err
 	}
 	if ctx.Err() != nil {
-		return false, ctx.Err()
+		return ctx.Err()
 	}
-	return false, fmt.Errorf("dist: probe coordinator %s: %w", cl.Base, lastErr)
+	return fmt.Errorf("dist: probe service %s: %w", url, lastErr)
 }
 
 // RunWorker serves one worker until its work runs out or ctx is cancelled.
 //
-// Against a multi-campaign service (detected by probing GET /v1/campaigns)
-// the worker claims from the fleet-level dispatcher: each claim names the
-// campaign the task belongs to, the worker lowers and caches that campaign's
-// spec on first contact, and finishing one campaign rolls straight into the
-// next open one. It exits when the service reports the fleet drained (every
-// campaign settled or cancelled) — or, under Drain, as soon as the campaign
-// it just fed completes. Campaign pins the worker to one campaign's scoped
-// routes instead.
+// An unpinned worker claims from the fleet-level dispatcher (POST
+// /v1/claim): each claim names the campaign the task belongs to, the worker
+// lowers that campaign's spec and verifies its fingerprint on first contact,
+// and finishing one campaign rolls straight into the next open one. It exits
+// when the service reports the fleet drained (every campaign settled or
+// cancelled) — or, under Drain, as soon as the campaign it just fed
+// completes. Campaign pins the worker to that campaign's scoped routes; it
+// exits when the campaign settles.
 //
-// Against a legacy standalone coordinator the worker behaves as before:
-// fetch the single campaign spec, verify the fingerprint, then claim — sweep
-// under a renewable lease (heartbeats every lease/3; a lost lease cancels
-// the sweep) — post, until the campaign completes. Cancellation mid-task
-// abandons the task — its lease lapses and the coordinator re-serves it —
-// and returns cleanly with the stats so far.
+// Each task is swept under a renewable lease (heartbeats every lease/3; a
+// lost lease cancels the sweep) and posted. Cancellation mid-task abandons
+// the task — its lease lapses and the service re-serves it — and returns
+// cleanly with the stats so far.
 func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	var stats WorkerStats
 	if cfg.ID == "" {
@@ -243,10 +236,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
+	if err := waitForService(ctx, cl); err != nil {
+		return stats, err
+	}
 
-	// Classify the far end and pre-build the sweeper for single-campaign
-	// modes, so a fingerprint mismatch aborts before any claim.
-	fleet := false
 	pinned := cfg.Campaign
 	sweepers := map[string]*sweeper{}
 	getSweeper := func(id string) (*sweeper, error) {
@@ -260,55 +253,38 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		sweepers[id] = sw
 		return sw, nil
 	}
-	if pinned == "" {
-		var err error
-		fleet, err = probeService(ctx, cl)
-		if err != nil {
-			return stats, err
-		}
-	}
-	if !fleet {
+	// A pinned worker lowers its campaign up front, so a fingerprint
+	// mismatch aborts before any claim.
+	if pinned != "" {
 		if _, err := getSweeper(pinned); err != nil {
 			return stats, err
 		}
+	}
+	claim := func() (string, *TaskAssignment, bool, error) {
+		if pinned == "" {
+			fr, err := cl.FleetClaim(ctx, cfg.ID)
+			return fr.Campaign, fr.Task, fr.Done, err
+		}
+		resp, err := cl.Claim(ctx, pinned, cfg.ID)
+		return pinned, resp.Task, resp.Done, err
 	}
 
 	for {
 		if ctx.Err() != nil {
 			return stats, nil
 		}
-		var campaignID string
-		var task *TaskAssignment
-		if fleet {
-			fr, err := cl.FleetClaim(ctx, cfg.ID)
-			if err != nil {
-				return stats, err
-			}
-			if fr.Done {
+		campaignID, task, done, err := claim()
+		if err != nil {
+			return stats, err
+		}
+		if done {
+			return stats, nil
+		}
+		if task == nil {
+			if !sleepCtx(ctx, poll) {
 				return stats, nil
 			}
-			if fr.Task == nil {
-				if !sleepCtx(ctx, poll) {
-					return stats, nil
-				}
-				continue
-			}
-			campaignID, task = fr.Campaign, fr.Task
-		} else {
-			resp, err := cl.Claim(ctx, pinned, cfg.ID)
-			if err != nil {
-				return stats, err
-			}
-			if resp.Done {
-				return stats, nil
-			}
-			if resp.Task == nil {
-				if !sleepCtx(ctx, poll) {
-					return stats, nil
-				}
-				continue
-			}
-			campaignID, task = pinned, resp.Task
+			continue
 		}
 		sw, err := getSweeper(campaignID)
 		if err != nil {
@@ -337,15 +313,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		if cfg.OnTask != nil {
 			cfg.OnTask(campaignID, outcome, task.ID)
 		}
-		if done {
-			// This campaign settled with the post. On a fleet that is not
-			// the end of the work — the next claim rolls into the next open
-			// campaign — unless the operator asked to drain. A standalone
-			// coordinator may already be shutting down, so do not claim
-			// again there.
-			if !fleet || cfg.Drain {
-				return stats, nil
-			}
+		// This campaign settled with the post. An unpinned worker rolls into
+		// the next open campaign with its next claim, unless the operator
+		// asked to drain.
+		if done && (pinned != "" || cfg.Drain) {
+			return stats, nil
 		}
 	}
 }

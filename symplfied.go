@@ -267,9 +267,10 @@ type SearchSpec struct {
 	// benign: per-function taint summaries, composed across call sites and
 	// return continuations, show the injected err reaches no output, no
 	// detector read, and no control decision (each such report is marked
-	// Summarized). A strictly larger benign class than PruneDeadInjections
-	// — taint may die later, or in a callee — at the cost of the
-	// calling-convention assumption documented on summary.Partition.
+	// Summarized). It covers taint that dies later, or in a callee, which
+	// PruneDeadInjections cannot, at the cost of the calling-convention
+	// assumption documented on summary.Partition. It is not a superset of
+	// PruneDeadInjections: some dead-register sites are not summary-benign.
 	// Operational like Parallelism: excluded from the campaign fingerprint.
 	// See internal/summary, and SYMPLFIED_CHECK_SUMMARIES to audit the
 	// proof on a live run.
