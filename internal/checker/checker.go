@@ -7,6 +7,20 @@
 // satisfy the user predicate ("errors that evade detection and potentially
 // lead to program failure").
 //
+// Most of a search's states hold no err at all: a store overwrote it, a
+// constraint pinned it to one value, a jump through it resolved. The plain
+// explorer hands such a state (symexec.State.ErrFree: no term in its store,
+// no stuck-at location) to the concrete machine, which runs it at
+// interpreter speed in chunks of at most tailChunk states, with a ctx poll
+// before each, and writes the result back (symexec.State.RunConcrete). The
+// hand-off is exact: the state, its trace notes and its watchdog tally come
+// out as the StepInPlace calls it replaces would leave them, and it counts
+// one state per executed instruction, plus one for a raise that executes
+// none, so a budget cuts off at the same state and reports do not change by
+// a byte. The machine stops before every CHECK, which the symbolic step
+// runs. The merged explorer steps symbolically throughout: its states park
+// at post-dominators, which a concrete tail would run past.
+//
 // The checker is hardened for long campaigns (the paper ran its searches as
 // cluster tasks with a 30-minute wall-clock allotment precisely because big
 // symbolic searches die, hang and blow memory): RunCtx and RunInjectionCtx
@@ -49,12 +63,17 @@ var (
 	liveInjPanics    = obs.Default().Counter(obs.MInjPanics)
 	liveInternHits   = obs.Default().Gauge(obs.MInternHits)
 	liveInternMisses = obs.Default().Gauge(obs.MInternMisses)
+	liveTailStates   = obs.Default().Counter(obs.MConcreteTail)
 )
 
 // DefaultStateBudget bounds the states explored per injection when the spec
 // does not say otherwise. Budgets replace the paper's 30-minute wall-clock
 // task allotment so runs are deterministic.
 const DefaultStateBudget = 100_000
+
+// tailChunk bounds the states one hand-off to the concrete machine may use,
+// so the explorer polls ctx at least every tailChunk states of a tail.
+const tailChunk = 4096
 
 // ctxCheckMask gates how often the breadth-first loop polls ctx.Err(): every
 // (ctxCheckMask+1) explored states. Polling is cheap but not free; 64 states
@@ -743,7 +762,10 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 
 	// Breadth-first exhaustive exploration. Deterministic steps run in
 	// place (StepInPlace) so only genuine forks pay for a state clone; each
-	// executed step counts one state against the budget.
+	// executed step counts one state against the budget. A state with no
+	// err left (ErrFree) runs on the concrete machine instead, in chunks of
+	// at most tailChunk states with a ctx poll before each: RunConcrete
+	// leaves it, and the state count, exactly as StepInPlace would.
 	//
 	// The frontier is a head-indexed queue: popping advances head and nils
 	// the slot so explored states are released to the GC immediately instead
@@ -768,6 +790,15 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 	defer func() { liveFrontier.Add(-published) }()
 	states := stateTally{ir: ir}
 	defer states.flush()
+	interrupted := func() bool {
+		states.flush()
+		cerr := ctx.Err()
+		if cerr != nil {
+			ir.Interrupted = true
+			ir.TimedOut = errors.Is(cerr, context.DeadlineExceeded)
+		}
+		return cerr != nil
+	}
 	syncFrontier := func() {
 		width := int64(len(frontier) - head)
 		ir.Exec.ObserveFrontier(len(frontier) - head)
@@ -797,12 +828,18 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 				ir.BudgetExhausted = true
 				return nil
 			}
-			if ir.StatesExplored&ctxCheckMask == 0 {
-				states.flush()
-				if cerr := ctx.Err(); cerr != nil {
-					ir.Interrupted = true
-					ir.TimedOut = errors.Is(cerr, context.DeadlineExceeded)
-					return nil
+			handOff := cur.Running() && cur.ErrFree()
+			if (handOff || ir.StatesExplored&ctxCheckMask == 0) && interrupted() {
+				return nil
+			}
+			if handOff {
+				// FromMachine copied what it needed, so the prefix's
+				// machine is free to run the tails.
+				if n := cur.RunConcrete(m, min(budget-ir.StatesExplored, tailChunk)); n > 0 {
+					ir.StatesExplored += n
+					ir.Truncated = ir.Truncated || cur.Truncated
+					liveTailStates.Add(int64(n))
+					continue
 				}
 			}
 			ir.StatesExplored++

@@ -1,0 +1,252 @@
+package checker
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"symplfied/internal/apps/replace"
+	"symplfied/internal/apps/tcas"
+	"symplfied/internal/asm"
+	"symplfied/internal/faults"
+	"symplfied/internal/fuzzprog"
+	"symplfied/internal/isa"
+	"symplfied/internal/machine"
+	"symplfied/internal/symexec"
+)
+
+// exploreStepwise is exploreInjection without the concrete hand-off: every
+// step of every state goes through StepInPlace or Successors. It is the
+// reference the hand-off must reproduce, report for report.
+func exploreStepwise(ctx context.Context, spec Spec, inj faults.Injection) (InjectionReport, error) {
+	ir := InjectionReport{Injection: inj, Outcomes: make(map[symexec.Outcome]int)}
+	budget := spec.effectiveBudget()
+	m := machine.New(spec.Program, spec.Input, machine.Options{
+		Watchdog:  spec.Exec.Watchdog,
+		Detectors: spec.Detectors,
+	})
+	if !m.RunUntil(inj.PC, inj.Occurrence) {
+		return ir, nil
+	}
+	ir.Activated = true
+	st := symexec.FromMachine(m, spec.Detectors, spec.Exec)
+	st.Stats = &ir.Exec
+	frontier, err := inj.Apply(st)
+	if err != nil {
+		return ir, err
+	}
+	var visited map[uint64]struct{}
+	var keyer *symexec.Keyer
+	if spec.Dedup {
+		visited = make(map[uint64]struct{})
+		keyer = symexec.NewKeyer()
+	}
+	ir.Exec.ObserveFrontier(len(frontier))
+	for len(frontier) > 0 {
+		cur := frontier[0]
+		frontier = frontier[1:]
+		if visited != nil {
+			k := keyer.Hash(cur)
+			if _, seen := visited[k]; seen {
+				ir.Exec.CountDedup()
+				continue
+			}
+			visited[k] = struct{}{}
+		}
+		for {
+			if ir.StatesExplored >= budget {
+				ir.BudgetExhausted = true
+				return ir, nil
+			}
+			if ir.StatesExplored&ctxCheckMask == 0 {
+				if cerr := ctx.Err(); cerr != nil {
+					ir.Interrupted = true
+					ir.TimedOut = errors.Is(cerr, context.DeadlineExceeded)
+					return ir, nil
+				}
+			}
+			ir.StatesExplored++
+			ir.Truncated = ir.Truncated || cur.Truncated
+			if !cur.Running() {
+				ir.TerminalStates++
+				ir.Outcomes[cur.Outcome()]++
+				if id, ok := cur.FiredDetector(); ok {
+					if ir.DetectorHits == nil {
+						ir.DetectorHits = make(map[int64]int)
+					}
+					ir.DetectorHits[id]++
+				}
+				ir.Exec.ObserveDepth(int64(cur.Steps))
+				if spec.Predicate.Match(cur) && (spec.MaxFindings == 0 || len(ir.Findings) < spec.MaxFindings) {
+					ir.Findings = append(ir.Findings, newFinding(inj, cur, spec.DiscardStates))
+				}
+				break
+			}
+			if cur.StepInPlace() {
+				continue
+			}
+			ir.Exec.ObserveDepth(int64(cur.Steps))
+			frontier = append(frontier, cur.Successors()...)
+			break
+		}
+		ir.Exec.ObserveFrontier(len(frontier))
+	}
+	return ir, nil
+}
+
+// exploreBoth explores inj with the checker and with exploreStepwise, and
+// fails t unless the two injection reports are identical: every tally,
+// BudgetExhausted, Exec, and every finding with its trace and terminal
+// state.
+func exploreBoth(t *testing.T, spec Spec, inj faults.Injection) InjectionReport {
+	t.Helper()
+	want, werr := exploreStepwise(context.Background(), spec, inj)
+	got := InjectionReport{Injection: inj, Outcomes: make(map[symexec.Outcome]int)}
+	gerr := exploreInjection(context.Background(), spec, inj, &got)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Fatalf("%v, budget %d: error %v, stepwise %v", inj, spec.StateBudget, gerr, werr)
+	}
+	gj, _ := json.Marshal(got)
+	wj, _ := json.Marshal(want)
+	if string(gj) != string(wj) {
+		t.Fatalf("%v, budget %d: report drift\n got %s\nwant %s", inj, spec.StateBudget, gj, wj)
+	}
+	for i, f := range got.Findings {
+		g, w := f.State, want.Findings[i].State
+		if g.Key() != w.Key() || !reflect.DeepEqual(g.Exc, w.Exc) || g.Trace.Render() != w.Trace.Render() {
+			t.Fatalf("%v, budget %d: finding %d's state drifted\n got %s %+v\nwant %s %+v",
+				inj, spec.StateBudget, i, g.Key(), g.Exc, w.Key(), w.Exc)
+		}
+	}
+	return want
+}
+
+// TestConcreteTailExactAtEveryBudget: for one tcas injection, one replace
+// injection, a tail that jumps out of the program and every scenario of
+// TestTraceGolden (CHECK passes and firings, the watchdog, end of input,
+// undefined loads), exploring with the
+// concrete hand-off yields exactly the stepwise report at every state budget
+// from 1 to the full state count, so the budget cuts off at the same state.
+func TestConcreteTailExactAtEveryBudget(t *testing.T) {
+	type search struct {
+		name string
+		spec Spec
+		inj  faults.Injection
+	}
+	var searches []search
+	for _, a := range []struct {
+		prog     *isa.Program
+		input    []int64
+		watchdog int
+		reg      isa.Reg
+		pc       int
+	}{
+		// A store through the erroneous stack pointer: 20 resolutions,
+		// each running on to a halt or a crash.
+		{tcas.Program(), tcas.UpwardInput().Slice(), 2_000, 29, 36},
+		// The same in replace: 52 store resolutions, two of them halting.
+		{replace.Program(), replace.Input("[a-c]x*", "<&>", "axx b cx"), 4_000, 29, 493},
+	} {
+		exec := symexec.DefaultOptions()
+		exec.Watchdog = a.watchdog
+		searches = append(searches, search{a.prog.Name,
+			Spec{Program: a.prog, Input: a.input, Exec: exec, Predicate: anyTerminal},
+			regInj(a.pc, a.reg)})
+	}
+	// A tail that jumps out of the program: the fetch raises without
+	// executing an instruction, and still uses a state.
+	escape := traceScenario{
+		name:  "escape",
+		src:   "\tread $1\n\tbeqi $1 3 skip\n\tli $1 0\nskip:\tli $2 50\n\tjr $2\n",
+		input: []int64{0},
+		inj:   []faults.Injection{regInj(1, 1)},
+	}
+	for _, sc := range append([]traceScenario{escape}, traceScenarios...) {
+		u := asm.MustParse(sc.name, sc.src)
+		exec := symexec.DefaultOptions()
+		exec.Watchdog = 200
+		if sc.exec != nil {
+			sc.exec(&exec)
+		}
+		for _, inj := range sc.inj {
+			searches = append(searches, search{sc.name,
+				Spec{Program: u.Program, Detectors: u.Detectors, Input: sc.input, Exec: exec, Predicate: anyTerminal},
+				inj})
+		}
+	}
+	for _, s := range searches {
+		full := exploreBoth(t, s.spec, s.inj)
+		if full.BudgetExhausted || full.StatesExplored == 0 {
+			t.Fatalf("%s %v: %d states, budget exhausted %v", s.name, s.inj, full.StatesExplored, full.BudgetExhausted)
+		}
+		for budget := 1; budget <= full.StatesExplored; budget++ {
+			s.spec.StateBudget = budget
+			if ir := exploreBoth(t, s.spec, s.inj); ir.BudgetExhausted != (budget < full.StatesExplored) {
+				t.Fatalf("%s %v, budget %d of %d: budget exhausted %v", s.name, s.inj, budget, full.StatesExplored, ir.BudgetExhausted)
+			}
+		}
+	}
+}
+
+// FuzzConcreteTail: random programs (internal/fuzzprog) with one register
+// injection, transient or stuck-at, explored with the concrete hand-off and
+// stepwise, must yield identical injection reports at any budget, with and
+// without deduplication and fan-out caps.
+func FuzzConcreteTail(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, uint16(300), uint8(3), uint8(0))
+	f.Add([]byte{8, 11, 9, 15, 19, 39, 14, 9}, uint16(2_000), uint8(1), uint8(0))
+	f.Add([]byte{8, 13, 14, 16, 9, 17, 18, 17}, uint16(77), uint8(6), uint8(5))
+	f.Add([]byte{8, 12, 15, 19, 59, 0, 79}, uint16(999), uint8(9), uint8(0))
+	f.Add([]byte{13, 8, 17, 9, 18, 13, 14}, uint16(4_000), uint8(2), uint8(2))
+	f.Add([]byte("90001000"), uint16(77), uint8(6), uint8(5))    // a capped fan-out's tail
+	f.Add([]byte("A0bA1AB901"), uint16(300), uint8(3), uint8(0)) // a tail's jr out of the program
+	f.Add([]byte("00B0011c"), uint16(375), uint8(3), uint8('4')) // a CHECK in a tail
+	f.Fuzz(func(t *testing.T, data []byte, budget uint16, pick, caps uint8) {
+		prog, dets := fuzzprog.Program(data)
+		exec := symexec.DefaultOptions()
+		exec.Watchdog = 300
+		exec.MaxControlTargets = int(caps % 4)
+		exec.MaxMemTargets = int(caps>>2) % 4
+		spec := Spec{
+			Program:     prog,
+			Detectors:   dets,
+			Input:       fuzzprog.Input,
+			Exec:        exec,
+			Predicate:   anyTerminal,
+			StateBudget: 1 + int(budget)%5_000,
+			Dedup:       pick&1 != 0,
+		}
+		inj := regInj(int(pick>>3)%prog.Len(), isa.Reg(1+int(pick>>1)%5))
+		inj.Permanent = pick&0x80 != 0
+		exploreBoth(t, spec, inj)
+	})
+}
+
+// TestConcreteTailCounter: the live symplfied_concrete_tail_states_total
+// counter moves during a plain tcas sweep, by no more than the states the
+// sweep explored.
+func TestConcreteTailCounter(t *testing.T) {
+	prog := tcas.Program()
+	exec := symexec.DefaultOptions()
+	exec.Watchdog = 2_000
+	states, tails := liveStates.Value(), liveTailStates.Value()
+	rep, err := Run(Spec{
+		Program:     prog,
+		Input:       tcas.UpwardInput().Slice(),
+		Injections:  faults.RegisterInjections(prog, true)[:12],
+		Exec:        exec,
+		Predicate:   anyTerminal,
+		Parallelism: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, explored := liveTailStates.Value()-tails, liveStates.Value()-states
+	if ran <= 0 || ran > explored || explored != int64(rep.TotalStates) {
+		t.Errorf("concrete tails ran %d states of %d explored (report: %d)", ran, explored, rep.TotalStates)
+	}
+}

@@ -16,12 +16,15 @@
 // instruction with RunUntil, is copied with Restore, and has its state
 // mutated with SetReg/SetMem/SetPC, emulating the paper's augmented
 // SimpleScalar; the machine keeps the last TraceTailLen executed program
-// counters for crash-site context.
+// counters for crash-site context. RunTail runs a state kept outside the
+// machine (an Image) and hands it back: the model checker runs the err-free
+// stretches of its symbolic paths this way.
 package machine
 
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"symplfied/internal/detector"
@@ -113,7 +116,8 @@ type Options struct {
 }
 
 // Machine is a concrete interpreter instance. Create one with New, then call
-// Run (or Step in a loop). The zero Machine is only a Restore target.
+// Run (or Step in a loop). The zero Machine is only a Restore or RunTail
+// target.
 type Machine struct {
 	prog     *isa.Program
 	code     []isa.Lowered
@@ -132,6 +136,8 @@ type Machine struct {
 	// fetches counts every fetch, including one that faults.
 	trace   [TraceTailLen]int
 	fetches int
+	// tail is set by RunTail: a CHECK stops the run instead of executing.
+	tail bool
 }
 
 // New creates a machine for prog with the given input stream.
@@ -184,6 +190,7 @@ func (m *Machine) Restore(src *Machine) {
 	m.dets = src.dets
 	m.trace = src.trace
 	m.fetches = src.fetches
+	m.tail = src.tail
 }
 
 // Program returns the program being executed.
@@ -399,8 +406,7 @@ func (m *Machine) run(ctx context.Context, bp breakpoint, limit int) {
 		if ctx != nil && m.steps&runCtxPollMask == 0 && ctx.Err() != nil {
 			return
 		}
-		if m.steps >= m.watchdog {
-			m.raise(isa.ExcTimeout, fmt.Sprintf("watchdog after %d instructions", m.steps))
+		if m.watchdogExpired() {
 			return
 		}
 		end := min(limit, m.watchdog)
@@ -411,6 +417,58 @@ func (m *Machine) run(ctx context.Context, bp breakpoint, limit int) {
 	}
 }
 
+// watchdogExpired raises ExcTimeout, and reports true, once the run has
+// executed as many instructions as the watchdog allows.
+func (m *Machine) watchdogExpired() bool {
+	if m.steps < m.watchdog {
+		return false
+	}
+	m.raise(isa.ExcTimeout, "watchdog after "+strconv.Itoa(m.steps)+" instructions")
+	return true
+}
+
+// Image is the architectural state of a run, in the form a caller that keeps
+// its states outside a Machine hands it to RunTail and takes it back: the
+// symbolic engine runs its err-free states on the interpreter this way.
+type Image struct {
+	PC     int
+	Regs   [isa.NumRegs]isa.Value
+	Mem    isa.Memory
+	In     []isa.Value // never written
+	InPos  int
+	Out    []OutItem
+	Steps  int
+	Status Status
+	Exc    *isa.Exception
+}
+
+// RunTail runs the running image img on m, with prog and watchdog, and
+// writes the resulting state back into img. It executes until the run
+// stops, has executed limit instructions in all (an absolute step count,
+// like Steps), or is about to execute a CHECK, which it leaves unexecuted
+// and uncounted for the caller to run with its own detector semantics.
+// img.Mem and img.Out move into m and back without a copy, and m keeps no
+// reference to either afterwards, so one Machine serves any number of
+// images. The run img holds must not have stopped, and must hold no err;
+// Status and Exc are only written.
+func (m *Machine) RunTail(prog *isa.Program, watchdog int, img *Image, limit int) {
+	m.prog, m.code, m.watchdog = prog, prog.Code(), watchdog
+	m.pc, m.regs, m.in, m.inPos, m.steps = img.PC, img.Regs, img.In, img.InPos, img.Steps
+	m.mem, img.Mem = img.Mem, isa.Memory{}
+	m.out, img.Out = img.Out, nil
+	m.status, m.exc, m.tail = StatusRunning, nil, true
+	for m.status == StatusRunning && m.steps < limit && !m.watchdogExpired() {
+		end := min(limit, m.watchdog)
+		m.exec(breakpoint{}, end)
+		if m.status == StatusRunning && m.steps < end {
+			break // before a CHECK
+		}
+	}
+	img.PC, img.Regs, img.InPos, img.Steps, img.Status, img.Exc = m.pc, m.regs, m.inPos, m.steps, m.status, m.exc
+	img.Mem, m.mem = m.mem, isa.Memory{}
+	img.Out, m.out = m.out, nil
+}
+
 // exec is run's inner loop: it fetches and executes instructions until the
 // step count reaches end (> Steps), the machine reaches bp, or it stops.
 func (m *Machine) exec(bp breakpoint, end int) {
@@ -419,7 +477,7 @@ func (m *Machine) exec(bp breakpoint, end int) {
 		m.trace[m.fetches&(TraceTailLen-1)] = m.pc
 		m.fetches++
 		if uint(m.pc) >= uint(len(code)) {
-			m.raise(isa.ExcIllegalInstr, fmt.Sprintf("fetch from %d", m.pc))
+			m.raise(isa.ExcIllegalInstr, "fetch from "+strconv.Itoa(m.pc))
 			return
 		}
 		op := &code[m.pc]
@@ -463,7 +521,7 @@ func (m *Machine) exec(bp breakpoint, end int) {
 			}
 			v, defined := m.mem.Load(base + op.Imm)
 			if !defined {
-				m.raise(isa.ExcIllegalAddr, fmt.Sprintf("load from undefined %d", base+op.Imm))
+				m.raise(isa.ExcIllegalAddr, "load from undefined "+strconv.FormatInt(base+op.Imm, 10))
 				return
 			}
 			m.write(op.Rt, v)
@@ -523,6 +581,10 @@ func (m *Machine) exec(bp breakpoint, end int) {
 			m.raise(isa.ExcThrow, m.prog.At(m.pc).Str)
 			return
 		case isa.KindCheck:
+			if m.tail {
+				m.steps-- // left, unexecuted, to RunTail's caller
+				return
+			}
 			if !m.execCheck(op.Imm) {
 				return
 			}

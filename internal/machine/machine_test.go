@@ -269,3 +269,51 @@ func TestOutputHelpers(t *testing.T) {
 func TestMachineImplementsDetectorEnv(t *testing.T) {
 	var _ detector.Env = (*Machine)(nil)
 }
+
+// TestRunTail: RunTail resumes an image where it left off, stops at its
+// absolute step limit and before a CHECK without counting it, and moves the
+// memory image in and out without disturbing a copy-on-write sibling.
+func TestRunTail(t *testing.T) {
+	u := asm.MustParse("tail", `
+	det(1, $1, >, 0)
+	li $1 5
+	st $1 10($0)
+	check #1
+	ld $2 10($0)
+	print $2
+	halt
+`)
+	var sib isa.Memory
+	sib.Store(10, isa.Int(7))
+	img := Image{Mem: sib.Clone()}
+	var m Machine
+	step := func(limit, wantPC, wantSteps int, wantStatus Status) {
+		t.Helper()
+		m.RunTail(u.Program, 100, &img, limit)
+		if img.PC != wantPC || img.Steps != wantSteps || img.Status != wantStatus {
+			t.Fatalf("RunTail(limit %d): pc %d, %d steps, %v; want pc %d, %d steps, %v",
+				limit, img.PC, img.Steps, img.Status, wantPC, wantSteps, wantStatus)
+		}
+	}
+	step(1, 1, 1, StatusRunning)   // the step limit
+	step(100, 2, 2, StatusRunning) // before the CHECK
+	step(100, 2, 2, StatusRunning) // still there: a CHECK is the caller's
+	if v, _ := img.Mem.Load(10); !v.Equal(isa.Int(5)) {
+		t.Errorf("image word 10 = %v, want 5", v)
+	}
+	if v, _ := sib.Load(10); !v.Equal(isa.Int(7)) {
+		t.Errorf("the store reached the copy-on-write sibling: word 10 = %v", v)
+	}
+	img.PC, img.Steps = img.PC+1, img.Steps+1 // the caller ran the CHECK
+	step(100, 5, 6, StatusHalted)
+	if got := RenderOutput(img.Out); got != "5" || img.Exc != nil {
+		t.Errorf("output %q, exception %v; want \"5\" and none", got, img.Exc)
+	}
+
+	hang := Image{}
+	m.RunTail(u.Program, 1, &hang, 100)
+	want := isa.Exception{Kind: isa.ExcTimeout, PC: 1, Detail: "watchdog after 1 instructions"}
+	if hang.Status != StatusExcepted || hang.Exc == nil || *hang.Exc != want || hang.Steps != 1 {
+		t.Errorf("watchdog: %v %+v after %d steps, want %+v after 1", hang.Status, hang.Exc, hang.Steps, want)
+	}
+}

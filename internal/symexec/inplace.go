@@ -175,11 +175,52 @@ func (s *State) StepInPlace() bool {
 	case isa.KindCheck:
 		return s.stepCheck(op.Imm)
 	default:
+		s.Steps++
 		s.raise(isa.ExcIllegalInstr, "unsupported opcode "+s.Prog.At(s.PC).Op.String())
 		return true
 	}
 	s.PC++
 	return true
+}
+
+// ErrFree reports whether no location of s holds err: its store has no
+// term and no location is stuck-at. By the term invariant every err-holding
+// location has a term, so the concrete machine runs such a state exactly as
+// StepInPlace would (RunConcrete).
+func (s *State) ErrFree() bool { return !s.Sym.HasTerms() && len(s.Stuck) == 0 }
+
+// RunConcrete runs the running, err-free state s (ErrFree) on the concrete
+// machine m for at most maxStates states, leaving s exactly as that many
+// StepInPlace calls would: PC, registers, memory, output, input position,
+// step count, status, exception, the halt or exception trace note and the
+// watchdog tally. It returns the states used: one per executed instruction,
+// plus one for a final raise that executes none (the watchdog, a fetch from
+// an invalid pc). It returns 0, leaving s as it was, when the next step
+// would execute a CHECK: the machine stops before every CHECK, so
+// StepInPlace runs the detector and its pass and firing notes come from the
+// symbolic step alone. The memory image and output stream move into m and
+// back, so a memory table shared with a clone stays shared until the
+// machine stores to it.
+func (s *State) RunConcrete(m *machine.Machine, maxStates int) int {
+	img := machine.Image{PC: s.PC, Regs: s.Regs, Mem: s.Mem, In: s.In, InPos: s.InPos, Out: s.Out, Steps: s.Steps}
+	from := s.Steps
+	m.RunTail(s.Prog, s.Opts.Watchdog, &img, from+maxStates)
+	s.PC, s.Regs, s.Mem, s.InPos, s.Out = img.PC, img.Regs, img.Mem, img.InPos, img.Out
+	s.Steps, s.Status, s.Exc = img.Steps, img.Status, img.Exc
+	states := s.Steps - from
+	switch s.Status {
+	case machine.StatusHalted:
+		s.note(trace.KindHalt, trace.Halt(s.Out))
+	case machine.StatusExcepted:
+		s.note(trace.KindException, trace.Exception(s.Exc))
+		if s.Exc.Kind == isa.ExcTimeout {
+			s.Stats.CountWatchdog()
+			states++
+		} else if !s.Prog.ValidPC(s.PC) {
+			states++
+		}
+	}
+	return states
 }
 
 // concreteOperands reads the two operands of an arithmetic, comparison-set

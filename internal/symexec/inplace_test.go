@@ -40,10 +40,26 @@ zero:	halt
 }
 
 // termInvariant reports a violation of the store invariants the executor
-// relies on: a location holding a concrete value has no term ($0, which
-// always reads 0, excepted), and no term is over a root whose constraints
-// are exact, which lets a constraint concretize only the root it constrained.
+// relies on: a location holds err exactly when it has a term ($0, which
+// always reads 0, may have one), so a state whose store has no term holds no
+// err (ErrFree); and no term is over a root whose constraints are exact,
+// which lets a constraint concretize only the root it constrained.
 func termInvariant(s *State) error {
+	for r := isa.Reg(1); r < isa.NumRegs; r++ {
+		if _, ok := s.Sym.Term(isa.RegLoc(r)); s.Regs[r].IsErr() && !ok {
+			return fmt.Errorf("pc %d: %s holds err but has no term", s.PC, r)
+		}
+	}
+	var termless error
+	s.Mem.Range(func(addr int64, v isa.Value) bool {
+		if _, ok := s.Sym.Term(isa.MemLoc(addr)); v.IsErr() && !ok {
+			termless = fmt.Errorf("pc %d: *(%d) holds err but has no term", s.PC, addr)
+		}
+		return termless == nil
+	})
+	if termless != nil {
+		return termless
+	}
 	for _, loc := range s.Sym.Locs() {
 		switch {
 		case loc.IsMem:
@@ -120,6 +136,34 @@ func TestTermInvariantInjectedSearch(t *testing.T) {
 		if checked < 1000 {
 			t.Fatalf("%s: only %d states checked", a.prog.Name, checked)
 		}
+	}
+}
+
+// TestUnsupportedOpcodeStepParity: an instruction that lowers to no kind
+// raises illegal instruction in StepInPlace, on the concrete machine and
+// through RunConcrete alike, counting the step in all three, so a report
+// cannot depend on which engine ran it.
+func TestUnsupportedOpcodeStepParity(t *testing.T) {
+	u := asm.MustParse("invalid", "\tli $1 1\n\tnop\n\thalt\n")
+	u.Program.Code()[1].Kind = isa.KindInvalid // no opcode lowers to it
+	want := isa.Exception{Kind: isa.ExcIllegalInstr, PC: 1, Detail: "unsupported opcode nop"}
+
+	res := machine.New(u.Program, nil, machine.Options{}).Run()
+	if res.Exception == nil || *res.Exception != want || res.Steps != 2 {
+		t.Errorf("machine: %+v after %d steps, want %+v after 2", res.Exception, res.Steps, want)
+	}
+	st := NewState(u.Program, nil, nil, DefaultOptions())
+	for st.StepInPlace() {
+	}
+	if st.Exc == nil || *st.Exc != want || st.Steps != 2 {
+		t.Errorf("StepInPlace: %+v after %d steps, want %+v after 2", st.Exc, st.Steps, want)
+	}
+	ho := NewState(u.Program, nil, nil, DefaultOptions())
+	var m machine.Machine
+	if n := ho.RunConcrete(&m, 10); n != 2 || ho.Key() != st.Key() || *ho.Exc != *st.Exc ||
+		ho.Trace.Render() != st.Trace.Render() {
+		t.Errorf("RunConcrete used %d states, want 2, and left %s / %+v, want %s / %+v",
+			n, ho.Key(), ho.Exc, st.Key(), st.Exc)
 	}
 }
 
