@@ -15,11 +15,15 @@
 // before each, and writes the result back (symexec.State.RunConcrete). The
 // hand-off is exact: the state, its trace notes and its watchdog tally come
 // out as the StepInPlace calls it replaces would leave them, and it counts
-// one state per executed instruction, plus one for a raise that executes
-// none, so a budget cuts off at the same state and reports do not change by
-// a byte. The machine stops before every CHECK, which the symbolic step
-// runs. The merged explorer steps symbolically throughout: its states park
-// at post-dominators, which a concrete tail would run past.
+// one state per executed or skipped instruction, plus one for a raise that
+// executes none, so a budget cuts off at the same state and reports do not
+// change by a byte. The machine skips the laps of a hang it can prove
+// repeat — an exact recurrence, or an affine register map under the proof
+// the merged explorer's accelerator uses too (machine.AffineLapOK) — and
+// the skipped steps count as states as if they had run. The machine stops
+// before every CHECK, which the symbolic step runs. The merged explorer
+// steps symbolically throughout: its states park at post-dominators, which
+// a concrete tail would run past.
 //
 // The checker is hardened for long campaigns (the paper ran its searches as
 // cluster tasks with a 30-minute wall-clock allotment precisely because big
@@ -64,6 +68,7 @@ var (
 	liveInternHits   = obs.Default().Gauge(obs.MInternHits)
 	liveInternMisses = obs.Default().Gauge(obs.MInternMisses)
 	liveTailStates   = obs.Default().Counter(obs.MConcreteTail)
+	liveTailSkipped  = obs.Default().Counter(obs.MConcreteTailSkipped)
 )
 
 // DefaultStateBudget bounds the states explored per injection when the spec
@@ -835,10 +840,13 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 			if handOff {
 				// FromMachine copied what it needed, so the prefix's
 				// machine is free to run the tails.
-				if n := cur.RunConcrete(m, min(budget-ir.StatesExplored, tailChunk)); n > 0 {
+				if n, skipped := cur.RunConcrete(m, min(budget-ir.StatesExplored, tailChunk)); n > 0 {
 					ir.StatesExplored += n
 					ir.Truncated = ir.Truncated || cur.Truncated
 					liveTailStates.Add(int64(n))
+					if skipped > 0 {
+						liveTailSkipped.Add(int64(skipped))
+					}
 					continue
 				}
 			}

@@ -45,9 +45,10 @@ import (
 //     counter and lets the watchdog raise at exactly the step count the
 //     unmerged run would have reached. Loops that never recur exactly — a
 //     live counter marching toward the watchdog — get a second chance via
-//     affine lap extrapolation (see affine.go): when a lap provably applies
-//     the same linear register map every iteration, the explorer adds k laps
-//     of delta to the registers and jumps the step counter in O(1).
+//     affine lap extrapolation (machine.AffineLapOK): when a lap provably
+//     applies the same linear register map every iteration, the explorer
+//     adds k laps of delta to the registers and jumps the step counter in
+//     O(1).
 //
 // Both transformations preserve verdicts exactly: terminal states, outcome
 // tallies, findings (bytes, traces and all) and truncation flags match the
@@ -79,18 +80,6 @@ func SetCheckMerging(on bool) (restore func()) {
 	checkMerging = on
 	return func() { checkMerging = prev }
 }
-
-// Brent-style cycle detection knobs: the first checkpoint is taken after
-// cycleCheckpointStart in-place steps and the interval doubles from there,
-// so a run of n steps takes O(log n) checkpoints and detects any cycle whose
-// length fits under the watchdog. After cycleHashMissLimit LoopHash
-// mismatches at one checkpoint (a loop with a live counter never matches),
-// the checkpoint disarms until the next doubling, bounding the hash cost of
-// non-cyclic loops.
-const (
-	cycleCheckpointStart = 64
-	cycleHashMissLimit   = 4
-)
 
 // MergeContext carries the control-flow analysis a merged sweep shares
 // across injections (and, via cluster/campaign, across tasks in one
@@ -291,6 +280,9 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 		}
 	}
 
+	// cpMem holds the memory at runSingle's cycle checkpoint; one buffer
+	// serves every run of the search.
+	var cpMem isa.Memory
 	// runSingle drives one plain state through its in-place run, parking it
 	// at merge points it has not parked at before and fast-forwarding
 	// detected cycles — exactly recurring ones via LoopHash, affine ones via
@@ -313,7 +305,7 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 			probe   *affineProbe
 			misses  = 0
 			run     = 0
-			nextCP  = cycleCheckpointStart
+			nextCP  = machine.CycleCheckpointStart
 		)
 		for {
 			if cur.Running() && mc.MergePoint(cur.PC) && !e.deferredAt(cur.PC) {
@@ -340,7 +332,7 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 			if !cur.Running() {
 				continue // watchdog or exception: classify on the next lap
 			}
-			if cpPC >= 0 && len(window) <= maxAffineLap {
+			if cpPC >= 0 && len(window) <= machine.MaxAffineLap {
 				window = append(window, prePC)
 			}
 			if probe != nil {
@@ -351,11 +343,11 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 					// Back at the lap boundary: the lap is affine iff the
 					// delta repeated exactly (delta evolution is linear, so
 					// one repeat proves every future lap's delta equal).
-					if d2, ok := lapDelta(&probe.regs0, &cur.Regs); ok && d2 == probe.delta &&
+					if d2, ok := machine.LapDelta(&probe.regs0, &cur.Regs); ok && d2 == probe.delta &&
 						cur.Sym.RootsMinted() == cpRoots && storeHash(cur.Sym) == probe.sym {
 						l := len(probe.window)
 						if k := (w - 1 - cur.Steps) / l; k > 0 {
-							applyAffine(cur, &probe.delta, k)
+							machine.AdvanceAffine(&cur.Regs, &probe.delta, k)
 							cur.Steps += k * l
 							ir.Exec.CountCycle(int64(k * l))
 						}
@@ -390,12 +382,14 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 				} else {
 					// The pc recurred but the state did not: a loop with
 					// live registers. Arm an affine probe on the recorded
-					// lap if its structure allows extrapolation.
-					if misses++; misses >= cycleHashMissLimit {
+					// lap if its structure allows extrapolation and it left
+					// memory as it found it (the proof covers registers
+					// only: a counter kept in memory is not affine).
+					if misses++; misses >= machine.CycleMissLimit {
 						cpPC = -1 // stop hashing a loop that never settles
-					} else if len(window) == cur.Steps-cpSteps {
-						if d, ok := lapDelta(&cpRegs, &cur.Regs); ok &&
-							affineLapOK(cur.Prog, window, &d) {
+					} else if len(window) == cur.Steps-cpSteps && cur.Mem.Equal(&cpMem) {
+						if d, ok := machine.LapDelta(&cpRegs, &cur.Regs); ok &&
+							machine.AffineLapOK(cur.Prog, window, &d) {
 							probe = &affineProbe{
 								window: append([]int(nil), window...),
 								delta:  d,
@@ -409,6 +403,7 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 			if probe == nil && run >= nextCP {
 				cpPC, cpTrace, cpHash, cpSteps = cur.PC, cur.Trace, cur.LoopHash(), cur.Steps
 				cpRegs, cpRoots = cur.Regs, cur.Sym.RootsMinted()
+				cpMem.CopyFrom(&cur.Mem)
 				window = window[:0]
 				misses = 0
 				for nextCP <= run {

@@ -2,10 +2,13 @@ package checker
 
 import (
 	"math/rand"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"symplfied/internal/apps/factorial"
+	"symplfied/internal/asm"
 	"symplfied/internal/faults"
 	"symplfied/internal/isa"
 	"symplfied/internal/symexec"
@@ -196,5 +199,34 @@ func randomInstr(r *rand.Rand, progLen int) isa.Instr {
 			in.Imm = int64(r.Intn(10))
 		}
 		return in
+	}
+}
+
+// TestMergedAffineMemoryCounter: a lap that counts in memory while a
+// register counts along is not affine, since the proof covers registers
+// only. The merged explorer must run it to the exit, as the plain explorer
+// does, not extrapolate the register past a frozen memory counter into a
+// hang. Prefixes of one to four instructions place the first checkpoint at
+// different pcs of the loop.
+func TestMergedAffineMemoryCounter(t *testing.T) {
+	for pre := 1; pre <= 4; pre++ {
+		src := "\tst $0 20($0)\n" + strings.Repeat("\tnop\n", pre-1) +
+			"loop:\tld $4 20($0)\n\taddi $4 $4 1\n\tst $4 20($0)\n\tbeqi $4 150 out\n\tli $4 0\n\taddi $1 $1 1\n\tjmp loop\nout:\tprint $1\n\thalt\n"
+		spec := mergeSpec(asm.MustParse("memcount", src).Program, nil, 2_000, 100_000)
+		spec.Injections = []faults.Injection{regInj(0, 7)}
+		plain, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.MergeStates = true
+		merged, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, m := plain.PerInjection[0], merged.PerInjection[0]
+		if p.Outcomes[symexec.OutcomeNormal] != 1 || !reflect.DeepEqual(m.Outcomes, p.Outcomes) ||
+			!reflect.DeepEqual(CanonicalFindings(m.Findings), CanonicalFindings(p.Findings)) {
+			t.Errorf("prefix %d: merged %v %v, plain %v %v", pre, m.Outcomes, CanonicalFindings(m.Findings), p.Outcomes, CanonicalFindings(p.Findings))
+		}
 	}
 }

@@ -125,11 +125,12 @@ func exploreBoth(t *testing.T, spec Spec, inj faults.Injection) InjectionReport 
 }
 
 // TestConcreteTailExactAtEveryBudget: for one tcas injection, one replace
-// injection, a tail that jumps out of the program and every scenario of
+// injection, a tail that jumps out of the program, two hangs whose laps the
+// machine skips (an exact spin and an affine counter) and every scenario of
 // TestTraceGolden (CHECK passes and firings, the watchdog, end of input,
-// undefined loads), exploring with the
-// concrete hand-off yields exactly the stepwise report at every state budget
-// from 1 to the full state count, so the budget cuts off at the same state.
+// undefined loads), exploring with the concrete hand-off yields exactly the
+// stepwise report at every state budget from 1 to the full state count, so
+// the budget cuts off at the same state, inside a skipped lap too.
 func TestConcreteTailExactAtEveryBudget(t *testing.T) {
 	type search struct {
 		name string
@@ -164,7 +165,22 @@ func TestConcreteTailExactAtEveryBudget(t *testing.T) {
 		input: []int64{0},
 		inj:   []faults.Injection{regInj(1, 1)},
 	}
-	for _, sc := range append([]traceScenario{escape}, traceScenarios...) {
+	// Two hangs the machine's cycle accelerator skips: an exact spin and an
+	// affine counter lap, so budgets also cut off inside skipped laps.
+	spin := traceScenario{
+		name:  "spin",
+		src:   "\tread $1\n\tbeqi $1 3 spin\n\tli $1 0\n\thalt\nspin:\tli $2 7\n\tjmp spin\n",
+		input: []int64{0},
+		inj:   []faults.Injection{regInj(1, 1)},
+	}
+	counter := traceScenario{
+		name:  "counter",
+		src:   "\tread $1\n\tbeqi $1 3 count\n\tli $1 0\n\thalt\ncount:\taddi $2 $2 1\n\taddi $3 $3 -2\n\tjmp count\n",
+		input: []int64{0},
+		inj:   []faults.Injection{regInj(1, 1)},
+	}
+	skipping := map[string]bool{spin.name: true, counter.name: true}
+	for _, sc := range append([]traceScenario{escape, spin, counter}, traceScenarios...) {
 		u := asm.MustParse(sc.name, sc.src)
 		exec := symexec.DefaultOptions()
 		exec.Watchdog = 200
@@ -178,7 +194,11 @@ func TestConcreteTailExactAtEveryBudget(t *testing.T) {
 		}
 	}
 	for _, s := range searches {
+		skipped := liveTailSkipped.Value()
 		full := exploreBoth(t, s.spec, s.inj)
+		if skipping[s.name] && liveTailSkipped.Value() == skipped {
+			t.Errorf("%s %v: the concrete tail skipped no steps", s.name, s.inj)
+		}
 		if full.BudgetExhausted || full.StatesExplored == 0 {
 			t.Fatalf("%s %v: %d states, budget exhausted %v", s.name, s.inj, full.StatesExplored, full.BudgetExhausted)
 		}
@@ -205,6 +225,13 @@ func FuzzConcreteTail(f *testing.F) {
 	f.Add([]byte("90001000"), uint16(77), uint8(6), uint8(5))    // a capped fan-out's tail
 	f.Add([]byte("A0bA1AB901"), uint16(300), uint8(3), uint8(0)) // a tail's jr out of the program
 	f.Add([]byte("00B0011c"), uint16(375), uint8(3), uint8('4')) // a CHECK in a tail
+	// Tails the machine's cycle accelerator skips, run to the end and cut
+	// off by the budget inside the skipped laps: an exact spin and an
+	// affine counter lap.
+	f.Add([]byte("\x1b&\x1b#\x06\x00\x02\x14"), uint16(4_999), uint8(83), uint8(0))
+	f.Add([]byte("\x1b&\x1b#\x06\x00\x02\x14"), uint16(150), uint8(83), uint8(0))
+	f.Add([]byte("#\x00\x05\x0f\r$"), uint16(4_999), uint8(66), uint8(0))
+	f.Add([]byte("#\x00\x05\x0f\r$"), uint16(200), uint8(66), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, budget uint16, pick, caps uint8) {
 		prog, dets := fuzzprog.Program(data)
 		exec := symexec.DefaultOptions()
@@ -228,16 +255,17 @@ func FuzzConcreteTail(f *testing.F) {
 
 // TestConcreteTailCounter: the live symplfied_concrete_tail_states_total
 // counter moves during a plain tcas sweep, by no more than the states the
-// sweep explored.
+// sweep explored, and symplfied_concrete_tail_skipped_steps_total moves by
+// no more than the tail states: the sweep's hangs skip laps.
 func TestConcreteTailCounter(t *testing.T) {
 	prog := tcas.Program()
 	exec := symexec.DefaultOptions()
 	exec.Watchdog = 2_000
-	states, tails := liveStates.Value(), liveTailStates.Value()
+	states, tails, skips := liveStates.Value(), liveTailStates.Value(), liveTailSkipped.Value()
 	rep, err := Run(Spec{
 		Program:     prog,
 		Input:       tcas.UpwardInput().Slice(),
-		Injections:  faults.RegisterInjections(prog, true)[:12],
+		Injections:  faults.RegisterInjections(prog, true),
 		Exec:        exec,
 		Predicate:   anyTerminal,
 		Parallelism: 1,
@@ -248,5 +276,8 @@ func TestConcreteTailCounter(t *testing.T) {
 	ran, explored := liveTailStates.Value()-tails, liveStates.Value()-states
 	if ran <= 0 || ran > explored || explored != int64(rep.TotalStates) {
 		t.Errorf("concrete tails ran %d states of %d explored (report: %d)", ran, explored, rep.TotalStates)
+	}
+	if skipped := liveTailSkipped.Value() - skips; skipped <= 0 || skipped > ran {
+		t.Errorf("concrete tails skipped %d of their %d states", skipped, ran)
 	}
 }

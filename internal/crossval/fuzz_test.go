@@ -70,7 +70,7 @@ func FuzzConcreteSymbolicParity(f *testing.F) {
 		used := 0
 		for ho.Running() {
 			if used >= k && ho.ErrFree() {
-				if n := ho.RunConcrete(&tail, chunk); n > 0 {
+				if n, _ := ho.RunConcrete(&tail, chunk); n > 0 {
 					if n > chunk {
 						t.Fatalf("hand-off used %d states, more than its %d", n, chunk)
 					}

@@ -1,5 +1,7 @@
 package isa
 
+import "slices"
+
 // Memory is a data memory image: a flat open-addressed hash table (linear
 // probing, load factor at most 3/4) from word address to value. Any int64
 // address can be stored to, including wild pointers built from erroneous
@@ -75,9 +77,14 @@ func (m *Memory) Load(addr int64) (Value, bool) {
 	}
 }
 
-// Store defines the word at addr as v.
-func (m *Memory) Store(addr int64, v Value) {
+// Store defines the word at addr as v and reports whether the image
+// changed: storing the value a word already holds changes nothing and
+// copies no shared table.
+func (m *Memory) Store(addr int64, v Value) (changed bool) {
 	if m.shared || 4*(m.n+1) > 3*len(m.slots) {
+		if w, ok := m.Load(addr); ok && w == v {
+			return false
+		}
 		m.own()
 	}
 	mask := len(m.slots) - 1
@@ -87,11 +94,14 @@ func (m *Memory) Store(addr int64, v Value) {
 			s.addr = addr
 			s.set(v)
 			m.n++
-			return
+			return true
 		}
 		if s.addr == addr {
+			if s.value() == v {
+				return false
+			}
 			s.set(v)
-			return
+			return true
 		}
 	}
 }
@@ -165,6 +175,25 @@ func (m *Memory) CopyFrom(src *Memory) {
 	copy(m.slots, src.slots)
 	m.shift = src.shift
 	m.n = src.n
+}
+
+// Equal reports whether m and o define the same words with the same values.
+// Images with one insertion history (a CopyFrom and its source, when neither
+// has defined a new word since) compare slot for slot.
+func (m *Memory) Equal(o *Memory) bool {
+	if m.n != o.n {
+		return false
+	}
+	if slices.Equal(m.slots, o.slots) {
+		return true
+	}
+	equal := true
+	m.Range(func(addr int64, v Value) bool {
+		w, ok := o.Load(addr)
+		equal = ok && w.Equal(v)
+		return equal
+	})
+	return equal
 }
 
 // Clone returns an image holding the same words that shares m's table

@@ -171,7 +171,10 @@ func FuzzMemoryImage(f *testing.F) {
 				if v%5 == 0 {
 					val = Err()
 				}
-				mems[i].Store(addrOf(a), val)
+				old, had := refs[i][addrOf(a)]
+				if changed := mems[i].Store(addrOf(a), val); changed == (had && old == val) {
+					t.Fatalf("Store(%d, %v) over %v (defined %v) reported changed=%v", addrOf(a), val, old, had, changed)
+				}
 				refs[i][addrOf(a)] = val
 				// Bulk stores drive growth, on shared tables too.
 				for k := 0; k < int(v%4)*int(a%3); k++ {

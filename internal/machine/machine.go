@@ -18,7 +18,9 @@
 // SimpleScalar; the machine keeps the last TraceTailLen executed program
 // counters for crash-site context. RunTail runs a state kept outside the
 // machine (an Image) and hands it back: the model checker runs the err-free
-// stretches of its symbolic paths this way.
+// stretches of its symbolic paths this way, and RunTail skips the laps of a
+// hang it can prove repeat (exactly, or as an affine register map: see
+// affine.go) instead of executing them.
 package machine
 
 import (
@@ -138,6 +140,11 @@ type Machine struct {
 	fetches int
 	// tail is set by RunTail: a CHECK stops the run instead of executing.
 	tail bool
+	// stores counts the stores that changed memory, so RunTail can tell
+	// that memory has not changed without comparing it; cp is RunTail's
+	// cycle checkpoint, allocated at the first one and kept for later tails.
+	stores int
+	cp     *tailCheckpoint
 }
 
 // New creates a machine for prog with the given input stream.
@@ -443,30 +450,178 @@ type Image struct {
 }
 
 // RunTail runs the running image img on m, with prog and watchdog, and
-// writes the resulting state back into img. It executes until the run
-// stops, has executed limit instructions in all (an absolute step count,
-// like Steps), or is about to execute a CHECK, which it leaves unexecuted
-// and uncounted for the caller to run with its own detector semantics.
-// img.Mem and img.Out move into m and back without a copy, and m keeps no
-// reference to either afterwards, so one Machine serves any number of
-// images. The run img holds must not have stopped, and must hold no err;
-// Status and Exc are only written.
-func (m *Machine) RunTail(prog *isa.Program, watchdog int, img *Image, limit int) {
+// writes the resulting state back into img. It runs until the run stops,
+// has reached limit steps in all (an absolute step count, like Steps), or is
+// about to execute a CHECK, which it leaves unexecuted and uncounted for the
+// caller to run with its own detector semantics. img.Mem and img.Out move
+// into m and back without a copy, and m keeps no reference to either
+// afterwards, so one Machine serves any number of images. The run img holds
+// must not have stopped, and must hold no err; Status and Exc are only
+// written.
+//
+// A cycle accelerator fast-forwards hang laps, so the result is the one
+// executing every step would give, but some steps are skipped rather than
+// executed: RunTail returns how many. At Brent-style checkpoints (the
+// first after CycleCheckpointStart steps, then at doubling intervals) it
+// saves the configuration, and when the run returns to the checkpoint pc
+// without having changed memory, read input or printed, it either skips every whole
+// lap that fits below min(limit, watchdog) by advancing Steps (the
+// registers recurred too: an exact lap) or probes the next laps for an
+// affine register map and adds k laps of delta (affineLaps). The watchdog
+// then raises at the step count it would have reached. The machine's
+// TraceTail ring is left unspecified: internal/simplescalar reads it and
+// never calls RunTail.
+func (m *Machine) RunTail(prog *isa.Program, watchdog int, img *Image, limit int) (skipped int) {
 	m.prog, m.code, m.watchdog = prog, prog.Code(), watchdog
 	m.pc, m.regs, m.in, m.inPos, m.steps = img.PC, img.Regs, img.In, img.InPos, img.Steps
 	m.mem, img.Mem = img.Mem, isa.Memory{}
 	m.out, img.Out = img.Out, nil
 	m.status, m.exc, m.tail = StatusRunning, nil, true
+	end := min(limit, m.watchdog)
+	start, next := m.steps, m.steps+CycleCheckpointStart
+	armed, misses := false, 0
 	for m.status == StatusRunning && m.steps < limit && !m.watchdogExpired() {
-		end := min(limit, m.watchdog)
-		m.exec(breakpoint{}, end)
-		if m.status == StatusRunning && m.steps < end {
+		stop, from, bp := min(end, next), m.steps, breakpoint{}
+		if armed {
+			bp = breakpoint{m.cp.pc, true}
+		}
+		m.exec(bp, stop)
+		if m.status != StatusRunning {
+			break
+		}
+		if armed && m.pc == bp.pc && m.steps > from {
+			if n, served := m.recur(end); served {
+				skipped += n
+				armed = false
+			} else if misses++; misses == CycleMissLimit {
+				armed = false
+			}
+		} else if m.steps < stop {
 			break // before a CHECK
+		}
+		if m.steps >= next {
+			m.checkpoint()
+			armed, misses = true, 0
+			for next <= m.steps {
+				next += next - start
+			}
 		}
 	}
 	img.PC, img.Regs, img.InPos, img.Steps, img.Status, img.Exc = m.pc, m.regs, m.inPos, m.steps, m.status, m.exc
 	img.Mem, m.mem = m.mem, isa.Memory{}
 	img.Out, m.out = m.out, nil
+	return skipped
+}
+
+// The Brent-style schedule of both cycle accelerators, RunTail's and the
+// merged explorer's (internal/checker): the first checkpoint after
+// CycleCheckpointStart steps, then at doubling intervals, so a run of n
+// steps takes O(log n) checkpoints, and a lap shorter than an interval
+// returns to the checkpoint pc before the next one. A checkpoint disarms
+// until the next one after CycleMissLimit returns to its pc that did not
+// recur (a loop that keeps changing memory or printing never settles),
+// bounding the comparison cost of loops that never repeat. In RunTail a
+// return that enters the affine gear disarms it too, whether or not the
+// gear skips: the gear has already executed the two laps it needed to see.
+const (
+	CycleCheckpointStart = 64
+	CycleMissLimit       = 4
+)
+
+// tailCheckpoint is the configuration RunTail compares a return to its pc
+// against: everything a lap can change apart from memory and the output's
+// content. A lap that changes memory is a miss, so memory needs no copy:
+// while the machine's count of stores that changed memory is the
+// checkpoint's, memory is too. The output only grows, so its length stands
+// for it.
+type tailCheckpoint struct {
+	pc, inPos, outLen, steps, stores int
+	regs                             [isa.NumRegs]isa.Value
+	window                           []int // affineLaps's recorded lap
+}
+
+// checkpoint saves the current configuration as the cycle checkpoint.
+func (m *Machine) checkpoint() {
+	if m.cp == nil {
+		m.cp = new(tailCheckpoint)
+	}
+	cp := m.cp
+	cp.pc, cp.inPos, cp.outLen, cp.steps, cp.stores = m.pc, m.inPos, len(m.out), m.steps, m.stores
+	cp.regs = m.regs
+}
+
+// recur handles a return to the checkpoint pc below end. A lap that changed
+// memory, read input or printed is a miss. When the configuration recurred
+// whole, every further lap is identical (the machine is deterministic), so
+// it skips all whole laps that fit below end; when only registers changed,
+// it tries affineLaps. It returns the steps skipped, and served unless the
+// return was a miss.
+func (m *Machine) recur(end int) (skipped int, served bool) {
+	cp := m.cp
+	if m.stores != cp.stores || m.inPos != cp.inPos || len(m.out) != cp.outLen {
+		return 0, false
+	}
+	if m.regs != cp.regs {
+		return m.affineLaps(end), true
+	}
+	lap := m.steps - cp.steps
+	skipped = (end - m.steps) / lap * lap
+	m.steps += skipped
+	return skipped, true
+}
+
+// affineLaps is the affine gear, entered at a lap boundary where memory,
+// input position and output length recurred but registers did not. It
+// executes the next lap, recording its pc window and register delta d. When
+// that lap left memory unchanged and the window proves affine under d (AffineLapOK,
+// checked before the second lap as the merged explorer does), it executes
+// one more lap, which must replay the window and repeat d; then every later
+// lap adds d too, so it adds k·d for the k whole laps that fit below end and
+// advances Steps past them. It returns the steps skipped. The laps it
+// executes are real steps, so declining at any point leaves a correct state.
+func (m *Machine) affineLaps(end int) int {
+	boundary, r0 := m.pc, m.regs
+	m.cp.window = m.cp.window[:0]
+	for len(m.cp.window) == 0 || m.pc != boundary {
+		if len(m.cp.window) == MaxAffineLap {
+			return 0
+		}
+		// Only the step may touch the code at pc: a jr may have left
+		// the program.
+		m.cp.window = append(m.cp.window, m.pc)
+		if !m.tailStep(end) {
+			return 0
+		}
+	}
+	w := m.cp.window
+	d, ok := LapDelta(&r0, &m.regs)
+	if !ok || m.stores != m.cp.stores || !AffineLapOK(m.prog, w, &d) {
+		return 0
+	}
+	r1 := m.regs
+	for _, pc := range w {
+		if m.pc != pc || !m.tailStep(end) {
+			return 0
+		}
+	}
+	if d2, ok := LapDelta(&r1, &m.regs); !ok || d2 != d {
+		return 0
+	}
+	k := (end - m.steps) / len(w)
+	AdvanceAffine(&m.regs, &d, k)
+	m.steps += k * len(w)
+	return k * len(w)
+}
+
+// tailStep executes one instruction of a tail when the step count is below
+// end; it reports whether it did and the machine still runs.
+func (m *Machine) tailStep(end int) bool {
+	from := m.steps
+	if from >= end {
+		return false
+	}
+	m.exec(breakpoint{}, from+1)
+	return m.status == StatusRunning && m.steps > from
 }
 
 // exec is run's inner loop: it fetches and executes instructions until the
@@ -531,7 +686,9 @@ func (m *Machine) exec(bp breakpoint, end int) {
 				m.raise(isa.ExcIllegalAddr, "erroneous address in concrete machine")
 				return
 			}
-			m.mem.Store(base+op.Imm, m.regs[op.Rt])
+			if m.mem.Store(base+op.Imm, m.regs[op.Rt]) {
+				m.stores++
+			}
 			m.pc++
 		case isa.KindBranch:
 			x, y, ok := m.operands(op)

@@ -43,8 +43,10 @@ const (
 	MFanoutTrunc   = "symplfied_fanout_truncations_total"
 	MFrontier      = "symplfied_frontier_states"     // gauge: live frontier width (summed over workers)
 	MFrontierMax   = "symplfied_frontier_max_states" // gauge: high-water frontier width
-	// States the plain explorer ran on the concrete machine (err-free tails).
-	MConcreteTail = "symplfied_concrete_tail_states_total"
+	// States the plain explorer ran on the concrete machine (err-free tails),
+	// and the part of them the machine's cycle accelerator skipped.
+	MConcreteTail        = "symplfied_concrete_tail_states_total"
+	MConcreteTailSkipped = "symplfied_concrete_tail_skipped_steps_total"
 
 	// Static analysis (internal/analysis) and liveness-based pruning.
 	MPrunedInjections = "symplfied_pruned_injections_total" // explorations elided by a liveness proof

@@ -193,21 +193,22 @@ func (s *State) ErrFree() bool { return !s.Sym.HasTerms() && len(s.Stuck) == 0 }
 // machine m for at most maxStates states, leaving s exactly as that many
 // StepInPlace calls would: PC, registers, memory, output, input position,
 // step count, status, exception, the halt or exception trace note and the
-// watchdog tally. It returns the states used: one per executed instruction,
-// plus one for a final raise that executes none (the watchdog, a fetch from
-// an invalid pc). It returns 0, leaving s as it was, when the next step
-// would execute a CHECK: the machine stops before every CHECK, so
-// StepInPlace runs the detector and its pass and firing notes come from the
-// symbolic step alone. The memory image and output stream move into m and
-// back, so a memory table shared with a clone stays shared until the
-// machine stores to it.
-func (s *State) RunConcrete(m *machine.Machine, maxStates int) int {
+// watchdog tally. It returns the states used: one per executed or skipped
+// instruction, plus one for a final raise that executes none (the watchdog,
+// a fetch from an invalid pc); skipped is the part of them the machine's
+// cycle accelerator skipped rather than executed (machine.RunTail). It
+// returns no states, leaving s as it was, when the next step would execute a
+// CHECK: the machine stops before every CHECK, so StepInPlace runs the
+// detector and its pass and firing notes come from the symbolic step alone.
+// The memory image and output stream move into m and back, so a memory
+// table shared with a clone stays shared until the machine stores to it.
+func (s *State) RunConcrete(m *machine.Machine, maxStates int) (states, skipped int) {
 	img := machine.Image{PC: s.PC, Regs: s.Regs, Mem: s.Mem, In: s.In, InPos: s.InPos, Out: s.Out, Steps: s.Steps}
 	from := s.Steps
-	m.RunTail(s.Prog, s.Opts.Watchdog, &img, from+maxStates)
+	skipped = m.RunTail(s.Prog, s.Opts.Watchdog, &img, from+maxStates)
 	s.PC, s.Regs, s.Mem, s.InPos, s.Out = img.PC, img.Regs, img.Mem, img.InPos, img.Out
 	s.Steps, s.Status, s.Exc = img.Steps, img.Status, img.Exc
-	states := s.Steps - from
+	states = s.Steps - from
 	switch s.Status {
 	case machine.StatusHalted:
 		s.note(trace.KindHalt, trace.Halt(s.Out))
@@ -220,7 +221,7 @@ func (s *State) RunConcrete(m *machine.Machine, maxStates int) int {
 			states++
 		}
 	}
-	return states
+	return states, skipped
 }
 
 // concreteOperands reads the two operands of an arithmetic, comparison-set

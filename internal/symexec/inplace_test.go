@@ -160,7 +160,7 @@ func TestUnsupportedOpcodeStepParity(t *testing.T) {
 	}
 	ho := NewState(u.Program, nil, nil, DefaultOptions())
 	var m machine.Machine
-	if n := ho.RunConcrete(&m, 10); n != 2 || ho.Key() != st.Key() || *ho.Exc != *st.Exc ||
+	if n, _ := ho.RunConcrete(&m, 10); n != 2 || ho.Key() != st.Key() || *ho.Exc != *st.Exc ||
 		ho.Trace.Render() != st.Trace.Render() {
 		t.Errorf("RunConcrete used %d states, want 2, and left %s / %+v, want %s / %+v",
 			n, ho.Key(), ho.Exc, st.Key(), st.Exc)
