@@ -89,7 +89,6 @@ func run(ctx context.Context, args []string) error {
 		hardenRun = fs.Bool("harden", false, "run the detector-hardening pass: find coverage gaps, synthesize CHECK detectors closing them, splice them in, and verify re-coverage with a targeted symbolic sweep plus a crossval spot-check; exits nonzero if verification fails")
 		hardenOut = fs.String("harden-out", "", "with -harden, write the hardened unit (detector lines plus assembly) to this file")
 		hardenMax = fs.Int("harden-gaps", 0, "with -harden, cap the number of coverage gaps targeted, largest window first (0: all)")
-		pruneDead = fs.Bool("prune-dead", false, "elide explorations of register injections a liveness proof shows benign (verdicts unchanged; see SYMPLFIED_CHECK_PRUNING)")
 		summaries = fs.Bool("summaries", false, "elide explorations compositional per-function fault summaries prove benign (verdicts unchanged; see SYMPLFIED_CHECK_SUMMARIES)")
 		sumCache  = fs.String("summary-cache", "", "persist content-addressed function summaries in this directory, so re-analysis after an edit recomputes only changed functions (implies -summaries)")
 		merge     = fs.Bool("merge", false, "merge states rejoining at post-dominators and fast-forward watchdog-bound loops (verdicts unchanged, fewer states; see SYMPLFIED_CHECK_MERGING)")
@@ -300,7 +299,6 @@ func run(ctx context.Context, args []string) error {
 		},
 		Parallelism:         *parallel,
 		DisableAffineSolver: *noAffine,
-		PruneDeadInjections: *pruneDead,
 		UseSummaries:        useSummaries,
 		SummaryCache:        summaryCache,
 		MergeStates:         *merge,
@@ -309,15 +307,14 @@ func run(ctx context.Context, args []string) error {
 	var found []symplfied.Finding
 	if *tasks > 1 {
 		reports, sum, err := symplfied.StudyCtx(ctx, spec, symplfied.StudyConfig{
-			Tasks:               *tasks,
-			TaskStateBudget:     *budget,
-			MaxFindingsPerTask:  *findings,
-			Workers:             *workers,
-			Parallelism:         *parallel,
-			PruneDeadInjections: *pruneDead,
-			UseSummaries:        useSummaries,
-			SummaryCache:        summaryCache,
-			MergeStates:         *merge,
+			Tasks:              *tasks,
+			TaskStateBudget:    *budget,
+			MaxFindingsPerTask: *findings,
+			Workers:            *workers,
+			Parallelism:        *parallel,
+			UseSummaries:       useSummaries,
+			SummaryCache:       summaryCache,
+			MergeStates:        *merge,
 		})
 		if err != nil {
 			return err
@@ -354,10 +351,6 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("injections: %d (%d not activated), states explored: %d\n",
 			len(rep.Spec.Injections), rep.NotActivated, rep.TotalStates)
 		fmt.Printf("terminal outcomes: %v\n", rep.Outcomes)
-		if rep.PrunedInjections > 0 {
-			fmt.Printf("pruned: %d injections proven benign by liveness (explorations elided; verdicts unchanged)\n",
-				rep.PrunedInjections)
-		}
 		if rep.SummarizedInjections > 0 {
 			fmt.Printf("summarized: %d injections proven benign by compositional summaries (explorations elided; verdicts unchanged)\n",
 				rep.SummarizedInjections)

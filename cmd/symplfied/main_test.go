@@ -33,22 +33,22 @@ func TestAnalyzeFlagsUnreachableDetector(t *testing.T) {
 	}
 }
 
-func TestPruneDeadSearch(t *testing.T) {
+func TestSummariesSearch(t *testing.T) {
 	err := run(context.Background(), []string{
 		"-app", "factorial", "-input", "5",
 		"-class", "register", "-goal", "err-output",
-		"-watchdog", "400", "-findings", "2", "-prune-dead",
+		"-watchdog", "400", "-findings", "2", "-summaries",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestPruneDeadStudy(t *testing.T) {
+func TestSummariesStudy(t *testing.T) {
 	err := run(context.Background(), []string{
 		"-app", "factorial", "-input", "5",
 		"-class", "register", "-goal", "incorrect-output",
-		"-watchdog", "400", "-tasks", "4", "-budget", "20000", "-prune-dead",
+		"-watchdog", "400", "-tasks", "4", "-budget", "20000", "-summaries",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,6 @@ func run(ctx context.Context, args []string) error {
 		metrics     = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9091 or :0)")
 		progress    = fs.Duration("progress", 0, "log a one-line progress report at this interval (0: off)")
 		parallel    = fs.Int("parallel", 0, "cores to fan each leased task's injection sweep across (0: all cores, 1: sequential)")
-		pruneDead   = fs.Bool("prune-dead", false, "elide explorations of register injections a liveness proof shows benign (verdicts unchanged)")
 		merge       = fs.Bool("merge", false, "merge states at post-dominators and fast-forward watchdog-bound loops on this node (verdicts unchanged)")
 		summaries   = fs.Bool("summaries", false, "elide explorations compositional per-function fault summaries prove benign (verdicts unchanged)")
 		shareCache  = fs.Bool("summary-cache", false, "share the summary cache through the service's /summary endpoints (implies -summaries)")
@@ -113,7 +112,6 @@ func run(ctx context.Context, args []string) error {
 		Poll:        *poll,
 		OnTask:      onTask,
 		Parallelism: *parallel,
-		PruneDead:   *pruneDead,
 		MergeStates: *merge,
 
 		UseSummaries:      *summaries || *shareCache,

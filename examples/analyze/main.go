@@ -5,11 +5,13 @@
 // program: unreachable code, detectors whose checks can never execute, dead
 // stores, reads of never-written registers.
 //
-// The same liveness facts then shrink the injection campaign: a register
-// proven dead at a breakpoint cannot propagate an error, so the search
-// skips it with a proof instead of exploring it — the dataflow
-// generalization of the paper's Section 6.1 syntactic pruning. Both runs
-// below produce identical verdicts; the pruned one explores fewer states.
+// The same dataflow facts then shrink the injection campaign: a register
+// proven dead at a breakpoint cannot propagate an error, and the
+// compositional fault summaries (internal/summary) prove that — and more —
+// so the search skips such injections with a proof instead of exploring
+// them, the dataflow generalization of the paper's Section 6.1 syntactic
+// pruning. Both runs below produce identical verdicts; the summarized one
+// explores fewer states.
 package main
 
 import (
@@ -60,12 +62,12 @@ func run() error {
 
 	// 3. The proof at work on the exhaustive register campaign — every
 	// architectural register at every instruction, the 800x32 space of the
-	// paper's Section 6.1 — unpruned vs pruned. Verdict-identical, strictly
+	// paper's Section 6.1 — plain vs summarized. Verdict-identical, strictly
 	// fewer explorations. (A register an instruction reads is live by
-	// definition, so the paper's read-registers-only enumeration is never
-	// prunable; liveness pays off on the exhaustive space, and also keeps
-	// registers the syntactic rule would wrongly skip — ones read only by
-	// later instructions.)
+	// definition, so the paper's read-registers-only enumeration leaves
+	// little to prove; the proof pays off on the exhaustive space, and also
+	// keeps registers the syntactic rule would wrongly skip — ones read only
+	// by later instructions.)
 	search := symplfied.SearchSpec{
 		Unit:       unit,
 		Input:      []int64{5},
@@ -76,13 +78,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	search.PruneDeadInjections = true
-	pruned, err := symplfied.Search(search)
+	search.UseSummaries = true
+	summarized, err := symplfied.Search(search)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("unpruned: %d injections, %d findings\n", len(plain.PerInjection), len(plain.Findings))
-	fmt.Printf("pruned:   %d injections (%d proven benign by liveness), %d findings\n",
-		len(pruned.PerInjection), pruned.PrunedInjections, len(pruned.Findings))
+	fmt.Printf("plain:      %d injections, %d findings\n", len(plain.PerInjection), len(plain.Findings))
+	fmt.Printf("summarized: %d injections (%d proven benign by summaries), %d findings\n",
+		len(summarized.PerInjection), summarized.SummarizedInjections, len(summarized.Findings))
 	return nil
 }

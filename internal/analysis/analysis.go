@@ -7,11 +7,14 @@
 // the instruction" purely syntactically (Section 6.1). Dataflow liveness goes
 // further: an injection into a register that is dead at the injection point —
 // written before it is read on every path — provably cannot change the
-// execution, so the checker can classify it benign without exploring it (see
-// checker.PruneContext). The lint pass closes the loop on the paper's
-// detector model (Section 5.3): a CHECK annotation that can never execute, or
-// one that guards a value no subsequent instruction reads, is a silent
-// coverage hole this package reports statically.
+// execution. The checker elides such injections through the compositional
+// fault summaries of internal/summary, whose taint proof covers every dead
+// register at every site the function partition reaches, and more; liveness
+// itself serves -analyze, the lint pass and the hardening pass. The lint
+// pass closes the loop on the paper's detector model (Section 5.3): a CHECK
+// annotation that can never execute, or one that guards a value no
+// subsequent instruction reads, is a silent coverage hole this package
+// reports statically.
 //
 // # Diagnostic codes
 //
@@ -129,7 +132,7 @@ type Analysis struct {
 	NeverWritten []RegSet
 
 	// Demand-computed passes (Gaps, Consts): built on first use so callers
-	// that only prune injections never pay for them, cached so the structure
+	// that only need liveness never pay for them, cached so the structure
 	// stays shareable.
 	gapsOnce   sync.Once
 	gaps       []Gap

@@ -12,7 +12,7 @@ import "symplfied/internal/isa"
 // execution. Soundness notes:
 //
 //   - the CFG over-approximates executable paths, so liveness
-//     over-approximates true liveness (safe for pruning);
+//     over-approximates true liveness (safe for benign-injection proofs);
 //   - detector reads at CHECK sites are uses (see Analysis.Uses);
 //   - jr's successors are every instruction, so everything any instruction
 //     reads is live across a jr — plus jr's own source register;

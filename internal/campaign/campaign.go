@@ -129,14 +129,13 @@ func Run(ctx context.Context, spec checker.Spec, cfg Config) (*checker.Report, S
 
 	stats := Stats{Total: len(spec.Injections)}
 	fingerprint := Fingerprint(spec)
-	// One pruning context and one summary context for the whole campaign,
-	// shared by every worker's spec copy (both are operational, like
-	// Parallelism: absent from the fingerprint, and a resumed pruned or
-	// summarized campaign merges with a plain journal because the reports
-	// are identical modulo the Pruned/Summarized markers). The summary
-	// cache on the spec survives checkpoint/resume: the content-addressed
-	// keys make stale entries unreachable, never wrong.
-	spec.EnsurePrune()
+	// One summary context for the whole campaign, shared by every worker's
+	// spec copy (it is operational, like Parallelism: absent from the
+	// fingerprint, and a resumed summarized campaign merges with a plain
+	// journal because the reports are identical modulo the Summarized
+	// markers). The summary cache on the spec survives checkpoint/resume:
+	// the content-addressed keys make stale entries unreachable, never
+	// wrong.
 	spec.EnsureSummaries()
 
 	journaled := map[string]json.RawMessage{}

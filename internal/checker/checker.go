@@ -156,41 +156,22 @@ type Spec struct {
 	// store and trace. Leave false to keep full states for trace printing
 	// and search-graph rendering.
 	DiscardStates bool
-	// PruneDeadInjections turns on liveness-based pruning of the injection
-	// space (internal/analysis): a transient register injection into a
-	// register proven dead at the breakpoint — every path writes it before
-	// reading it — cannot propagate, so its exploration is the fault-free
-	// continuation. The checker explores one representative per breakpoint
-	// and reuses its report for the other dead registers there, marking every
-	// such report Pruned. This generalizes the paper's Section 6.1 syntactic
-	// pruning (inject only into registers the instruction uses) with a
-	// dataflow proof, and changes no verdict: a pruned run's report is the
-	// unpruned run's report plus Pruned markers. Set SYMPLFIED_CHECK_PRUNING
-	// to have every reuse re-explored and asserted identical. Like
-	// Parallelism, this is an operational knob excluded from the campaign
-	// fingerprint.
-	PruneDeadInjections bool
-	// Prune carries the shared analysis and representative memo for a pruned
-	// sweep. RunCtx populates it when PruneDeadInjections is set; callers
-	// orchestrating their own sweeps (internal/cluster, internal/campaign)
-	// install one PruneContext across all their task specs so representatives
-	// are shared process-wide. Never serialized.
-	Prune *PruneContext `json:"-"`
 	// UseSummaries turns on compositional summary-based elision
 	// (internal/summary): the program is partitioned into functions, each
 	// function's fault summary is computed (or loaded from SummaryCache) once,
 	// and a transient register injection the composed summaries prove benign —
 	// the err provably reaches no output, detector, or control decision on any
 	// continuation — reuses the site's fault-free representative exploration,
-	// marked Summarized. It elides many injections whose taint dies later,
-	// across call boundaries, which PruneDeadInjections' per-site liveness
-	// proof cannot. It does not cover that proof, though: on the exhaustive
-	// register space some dead-register sites are not summary-benign (78 on
-	// tcas, 214 on replace; TestPruneSummaryGap pins the counts). Like
-	// PruneDeadInjections, this is an operational knob excluded from the
-	// campaign fingerprint: verdicts and report bytes are unchanged modulo
-	// Summarized markers. Set SYMPLFIED_CHECK_SUMMARIES to have every reuse
-	// re-explored and asserted identical.
+	// marked Summarized. This generalizes the paper's Section 6.1 syntactic
+	// pruning (inject only into registers the instruction uses) with a
+	// dataflow proof: it covers every register liveness proves dead at a site
+	// the function partition reaches, and also taint that dies later, across
+	// call boundaries
+	// (TestSummariesCoverLiveness pins the counts). Like Parallelism, this is
+	// an operational knob excluded from the campaign fingerprint: verdicts
+	// and report bytes are unchanged modulo Summarized markers. Set
+	// SYMPLFIED_CHECK_SUMMARIES to have every reuse re-explored and asserted
+	// identical.
 	UseSummaries bool
 	// SummaryCache optionally backs the summary build with a content-addressed
 	// cache (in-memory LRU plus disk or coordinator store), making re-analysis
@@ -211,8 +192,8 @@ type Spec struct {
 	// StatesExplored counts physical state observations, so merged reports
 	// show the savings directly. Set SYMPLFIED_CHECK_MERGING to re-explore
 	// every merged injection unmerged and panic on any drift. Like
-	// PruneDeadInjections, this is an operational knob excluded from the
-	// campaign fingerprint.
+	// UseSummaries, this is an operational knob excluded from the campaign
+	// fingerprint.
 	MergeStates bool
 	// Merge carries the shared control-flow analysis for a merged sweep.
 	// RunCtx populates it when MergeStates is set; drivers fanning spec copies
@@ -317,19 +298,13 @@ type InjectionReport struct {
 	// spec) when a resilient runner chose to keep going instead of aborting.
 	// Empty for clean explorations.
 	Error string
-	// Pruned is true when liveness proved this injection lands in a dead
-	// register (Spec.PruneDeadInjections). The tallies are those of the
-	// site's representative exploration — byte-identical to what exploring
-	// this injection would have produced — so pruned and unpruned reports
-	// stay comparable; the elided work shows up only in the live
-	// symplfied_pruned_injections_total counter.
-	Pruned bool `json:",omitempty"`
 	// Summarized is true when the compositional summaries proved this
 	// injection benign (Spec.UseSummaries): the err provably reaches no
-	// output, detector, or control decision on any continuation. As with
-	// Pruned, the tallies are the site representative's — byte-identical to
-	// the elided exploration — and the elided work shows up only in the live
-	// symplfied_summarized_injections_total counter.
+	// output, detector, or control decision on any continuation. The tallies
+	// are those of the site's representative exploration — byte-identical to
+	// what exploring this injection would have produced — so summarized and
+	// plain reports stay comparable; the elided work shows up only in the
+	// live symplfied_summarized_injections_total counter.
 	Summarized bool `json:",omitempty"`
 	// Merged is true when the merged explorer (Spec.MergeStates) swept this
 	// injection. Verdict-bearing fields (Activated, TerminalStates, Outcomes,
@@ -375,9 +350,6 @@ type Report struct {
 	// Errors counts injections recorded with an infrastructure error by a
 	// resilient runner.
 	Errors int
-	// PrunedInjections counts injections classified benign by the liveness
-	// proof (Spec.PruneDeadInjections) instead of a fresh exploration.
-	PrunedInjections int
 	// SummarizedInjections counts injections classified benign by the
 	// compositional summary proof (Spec.UseSummaries) instead of a fresh
 	// exploration.
@@ -433,9 +405,6 @@ func (r *Report) Add(ir InjectionReport) {
 	}
 	if ir.Error != "" {
 		r.Errors++
-	}
-	if ir.Pruned {
-		r.PrunedInjections++
 	}
 	if ir.Summarized {
 		r.SummarizedInjections++
@@ -516,10 +485,9 @@ func RunCtx(ctx context.Context, spec Spec) (*Report, error) {
 	if spec.Predicate.Match == nil {
 		return nil, fmt.Errorf("checker: nil predicate")
 	}
-	// Resolve the pruning, summary and merge contexts once so every injection
-	// in the sweep — sequential or parallel — shares one analysis, one summary
-	// set, and one representative memo per breakpoint.
-	spec.EnsurePrune()
+	// Resolve the summary and merge contexts once so every injection in the
+	// sweep — sequential or parallel — shares one analysis, one summary set,
+	// and one representative memo per breakpoint.
 	spec.EnsureSummaries()
 	spec.EnsureMerge()
 	if workers := poolSize(spec.Parallelism, len(spec.Injections)); workers > 1 {
@@ -626,47 +594,27 @@ func RunInjection(spec Spec, inj faults.Injection) (InjectionReport, error) {
 // on the report (Panicked/PanicValue) so one poisoned injection cannot kill
 // a campaign of thousands.
 //
-// When spec.PruneDeadInjections is set and liveness proves the injection
-// benign (see PruneContext), the site's representative report is reused
-// instead of exploring — the exploration is elided entirely, and the
-// returned report (marked Pruned) is what the exploration would have
-// produced. When spec.UseSummaries is set, the compositional summary proof
-// (see SummaryContext) does the same for injections whose taint provably
-// reaches nothing, marking reports Summarized. The two classes overlap
-// without either containing the other; an injection both classifiers cover
-// is credited to pruning, which is checked first.
+// When spec.UseSummaries is set and the compositional summary proof (see
+// SummaryContext) shows the injection's taint reaches nothing — which
+// includes every injection into a register liveness proves dead at a site
+// the function partition reaches — the site's
+// representative report is reused instead of exploring: the exploration is
+// elided entirely, and the returned report (marked Summarized) is what the
+// exploration would have produced.
 func RunInjectionCtx(ctx context.Context, spec Spec, inj faults.Injection) (InjectionReport, error) {
-	if prune := spec.EnsurePrune(); prune.Prunable(inj) {
-		budget := spec.effectiveBudget()
-		if reused, ok := prune.sites.reuse(inj, budget); ok {
-			reused.Pruned = true
-			livePruned.Inc()
-			liveInjections.Inc() // the injection is classified, just not explored
-			if checkPruning {
-				checkPrunedReuse(ctx, spec, inj, reused)
-			}
-			return reused, nil
-		}
-		// First benign injection at this site: explore it for real and
-		// memoize the result as the site's representative.
-		ir, err := runInjectionChecked(ctx, spec, inj)
-		if err == nil {
-			prune.sites.store(inj, ir, budget)
-			ir.Pruned = true
-		}
-		return ir, err
-	}
 	if sums := spec.EnsureSummaries(); sums.Benign(inj) {
 		budget := spec.effectiveBudget()
 		if reused, ok := sums.sites.reuse(inj, budget); ok {
 			reused.Summarized = true
 			liveSummarized.Inc()
-			liveInjections.Inc()
+			liveInjections.Inc() // the injection is classified, just not explored
 			if checkSummaries {
 				checkSummarizedReuse(ctx, spec, inj, reused)
 			}
 			return reused, nil
 		}
+		// First benign injection at this site: explore it for real and
+		// memoize the result as the site's representative.
 		ir, err := runInjectionChecked(ctx, spec, inj)
 		if err == nil {
 			sums.sites.store(inj, ir, budget)
@@ -693,8 +641,8 @@ func runInjectionChecked(ctx context.Context, spec Spec, inj faults.Injection) (
 
 // runInjectionReal performs the actual exploration behind RunInjectionCtx.
 // publish gates the per-injection live-registry flush (injection counters
-// and ExecStats): the SYMPLFIED_CHECK_PRUNING shadow exploration runs with
-// publish=false so an audited pruned run keeps its injection accounting
+// and ExecStats): the SYMPLFIED_CHECK_SUMMARIES shadow exploration runs with
+// publish=false so an audited summarized run keeps its injection accounting
 // (the per-state counters still tick in the shadow — cross-checking is a
 // debug mode, not a metrics-neutral one).
 func runInjectionReal(ctx context.Context, spec Spec, inj faults.Injection, publish bool) (ir InjectionReport, err error) {

@@ -57,8 +57,8 @@ import (
 // identical laps. What changes is StatesExplored, which counts physical
 // state observations — the whole point. SYMPLFIED_CHECK_MERGING re-explores
 // every merged injection unmerged and panics on drift, discharging the
-// equivalence obligation dynamically the way SYMPLFIED_CHECK_PRUNING does
-// for the liveness proof.
+// equivalence obligation dynamically the way SYMPLFIED_CHECK_SUMMARIES does
+// for the summary proof.
 
 // liveMerged counts injections swept by the merged explorer.
 var liveMerged = obs.Default().Counter(obs.MMergedInjections)
@@ -110,18 +110,13 @@ func (m *MergeContext) MergePoint(pc int) bool {
 
 // EnsureMerge resolves the spec's merging configuration: nil when merging is
 // off, the shared context when one is installed, or a freshly built one
-// (installed on the spec) when MergeStates is set. The analysis is shared
-// with an active PruneContext when both knobs are on.
+// (installed on the spec) when MergeStates is set.
 func (spec *Spec) EnsureMerge() *MergeContext {
 	if !spec.MergeStates || spec.Program == nil {
 		return nil
 	}
 	if spec.Merge == nil {
-		if p := spec.EnsurePrune(); p != nil {
-			spec.Merge = &MergeContext{analysis: p.analysis}
-		} else {
-			spec.Merge = NewMergeContext(spec.Program, spec.Detectors)
-		}
+		spec.Merge = NewMergeContext(spec.Program, spec.Detectors)
 	}
 	return spec.Merge
 }

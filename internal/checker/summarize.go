@@ -5,26 +5,31 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"sync"
 
 	"symplfied/internal/detector"
 	"symplfied/internal/faults"
 	"symplfied/internal/isa"
 	"symplfied/internal/obs"
 	"symplfied/internal/summary"
+	"symplfied/internal/symexec"
 )
 
 // liveSummarized counts explorations elided by a compositional summary
-// proof; like the pruning counter, it measures work that did not happen —
-// report contents stay identical to the unsummarized run's.
+// proof: the real savings knob, deliberately separate from the
+// deterministic report contents (a reused report carries its
+// representative's tallies so summarized and plain reports stay
+// comparable; the live counter measures work that did not happen).
 var liveSummarized = obs.Default().Counter(obs.MSummarizedInjections)
 
 // CheckSummariesEnv names the environment variable that turns every reused
 // summarized report into an assertion: the injection is explored anyway and
-// the run panics if the exploration differs from the reused report. The
+// the run panics if the exploration differs from the reused report (in
+// particular, if a "provably benign" injection produced findings). The
 // summary proof composes per-function taint verdicts across call sites
 // under the calling-convention assumption stated on summary.Partition; this
-// mode discharges that proof obligation dynamically, following the
-// SYMPLFIED_CHECK_PRUNING pattern.
+// mode discharges that proof obligation dynamically, like
+// SYMPLFIED_CHECK_KEY_COLLISIONS does for the hashed dedup keys.
 const CheckSummariesEnv = "SYMPLFIED_CHECK_SUMMARIES"
 
 var checkSummaries = os.Getenv(CheckSummariesEnv) != ""
@@ -50,14 +55,121 @@ func SetCheckSummaries(on bool) (restore func()) {
 // output, no detector read, and no control decision — through every callee
 // summary and every caller continuation — cannot change the exploration, so
 // the checker explores one representative per breakpoint and reuses its
-// report for the other benign registers at the same site, exactly like
-// liveness pruning, but also for taint that dies later (or in a
-// callee/caller) rather than immediately. It is not a superset of liveness
-// pruning: some dead-register sites are not summary-benign
-// (TestPruneSummaryGap pins the per-program counts).
+// report for the other benign registers at the same site, rewriting only the
+// injection identity. This generalizes the paper's Section 6.1 syntactic
+// pruning (inject only into registers the instruction reads): it covers every
+// register liveness proves dead at the site — a callee's summary kills taint
+// the callee overwrites on every path — and also taint that dies later, in a
+// callee or in a caller (TestSummariesCoverLiveness pins both). The one
+// exception is dead code no discovered function covers: such a site is
+// unclassifiable, and its injections, never activated, are explored for
+// real.
+//
+// Only transient register injections are ever summarized: a permanent
+// (stuck-at) fault discards future writes, so the kill half of the taint
+// argument does not apply to it.
 type SummaryContext struct {
 	set   *summary.Set
 	sites *siteMemo
+}
+
+// siteMemo memoizes one representative exploration per breakpoint site: a
+// benign injection's exploration is exactly the fault-free continuation from
+// the site, whichever benign register was corrupted. Representatives are
+// stored unmarked; the Summarized marker is stamped on the copies returned.
+type siteMemo struct {
+	mu   sync.Mutex
+	memo map[siteKey]siteRep
+}
+
+func newSiteMemo() *siteMemo {
+	return &siteMemo{memo: make(map[siteKey]siteRep)}
+}
+
+// siteKey keys the memo: benign registers at the same breakpoint share the
+// fault-free continuation.
+type siteKey struct {
+	pc, occurrence int
+}
+
+// siteRep is one representative exploration plus the budget it ran under;
+// reuse is only exact when the current budget cannot change the exploration.
+type siteRep struct {
+	rep    InjectionReport
+	budget int
+}
+
+// site returns the memo key for inj.
+func site(inj faults.Injection) siteKey {
+	occ := inj.Occurrence
+	if occ == 0 {
+		occ = 1
+	}
+	return siteKey{pc: inj.PC, occurrence: occ}
+}
+
+// reuse returns a report for inj derived from the site's memoized
+// representative, when reuse is provably exact under the current budget.
+// Reuse declines (forcing a real exploration) when the memo:
+//
+//   - ended abnormally (interrupted, timed out, panicked, errored) — those
+//     outcomes are wall-clock- or environment-dependent;
+//   - recorded findings — a finding's trace and symbolic state name the
+//     injected location, so only the site's own exploration reproduces them
+//     (this only happens when the fault-free continuation itself satisfies
+//     the predicate);
+//   - ran to budget exhaustion under a different budget than the current
+//     one, or completed using more states than the current budget allows
+//     (the cluster's shared task budget shrinks per injection).
+func (p *siteMemo) reuse(inj faults.Injection, budget int) (InjectionReport, bool) {
+	p.mu.Lock()
+	m, ok := p.memo[site(inj)]
+	p.mu.Unlock()
+	if !ok {
+		return InjectionReport{}, false
+	}
+	rep := m.rep
+	switch {
+	case rep.Interrupted || rep.TimedOut || rep.Panicked || rep.Error != "":
+		return InjectionReport{}, false
+	case len(rep.Findings) > 0:
+		return InjectionReport{}, false
+	case rep.BudgetExhausted && m.budget != budget:
+		return InjectionReport{}, false
+	case !rep.BudgetExhausted && rep.StatesExplored > budget:
+		return InjectionReport{}, false
+	}
+	rep.Injection = inj
+	out := make(map[symexec.Outcome]int, len(m.rep.Outcomes))
+	for o, n := range m.rep.Outcomes {
+		out[o] = n
+	}
+	rep.Outcomes = out
+	if len(m.rep.DetectorHits) > 0 {
+		hits := make(map[int64]int, len(m.rep.DetectorHits))
+		for id, n := range m.rep.DetectorHits {
+			hits[id] = n
+		}
+		rep.DetectorHits = hits
+	}
+	return rep, true
+}
+
+// store memoizes a representative exploration for inj's site.
+func (p *siteMemo) store(inj faults.Injection, rep InjectionReport, budget int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, dup := p.memo[site(inj)]; !dup {
+		p.memo[site(inj)] = siteRep{rep: rep, budget: budget}
+	}
+}
+
+// effectiveBudget resolves the spec's per-injection state budget.
+func (spec Spec) effectiveBudget() int {
+	if spec.StateBudget > 0 {
+		return spec.StateBudget
+	}
+	return DefaultStateBudget
 }
 
 // NewSummaryContext builds (or loads from cache, which may be nil) the
@@ -89,29 +201,27 @@ func (s *SummaryContext) Benign(inj faults.Injection) bool {
 
 // EnsureSummaries resolves the spec's summary configuration: nil when
 // summaries are off, the shared context when one is installed, or a freshly
-// built one (installed on the spec) when UseSummaries is set. When pruning
-// is also active, the two contexts share one representative memo — both
-// classifications assert the exploration is the site's fault-free
-// continuation, so a representative explored under either proof serves
-// both. Drivers that fan spec copies across pools (internal/cluster,
-// internal/campaign, internal/dist workers) call this once up front.
+// built one (installed on the spec) when UseSummaries is set. Drivers that
+// fan spec copies across pools (internal/cluster, internal/campaign,
+// internal/dist workers) call this once up front so every copy shares the
+// summary set and the representative memo; a lone RunInjectionCtx call on a
+// bare spec gets a private context that classifies correctly but cannot
+// share representatives.
 func (spec *Spec) EnsureSummaries() *SummaryContext {
 	if !spec.UseSummaries || spec.Program == nil {
 		return nil
 	}
 	if spec.Summaries == nil {
 		spec.Summaries = NewSummaryContext(spec.Program, spec.Detectors, spec.SummaryCache)
-		if prune := spec.EnsurePrune(); prune != nil {
-			spec.Summaries.sites = prune.sites
-		}
 	}
 	return spec.Summaries
 }
 
 // checkSummarizedReuse is the SYMPLFIED_CHECK_SUMMARIES assertion: explore
 // the injection for real and panic on any divergence from the reused
-// report. Like checkPrunedReuse, it runs outside the recover boundary on
-// purpose — a failed proof obligation must abort the process.
+// report. It runs outside RunInjectionCtx's recover boundary on purpose: a
+// failed proof obligation must abort the process, not become one more
+// isolated injection panic in the report.
 func checkSummarizedReuse(ctx context.Context, spec Spec, inj faults.Injection, reused InjectionReport) {
 	explored, err := runInjectionReal(ctx, spec, inj, false)
 	if err != nil {
@@ -126,4 +236,18 @@ func checkSummarizedReuse(ctx context.Context, spec Spec, inj faults.Injection, 
 		panic(fmt.Sprintf("summary cross-check: %s: reused report diverges from exploration:\nreused:   %+v\nexplored: %+v",
 			inj, reused, explored))
 	}
+}
+
+// normalizeForCheck strips the fields DeepEqual cannot compare meaningfully
+// across two explorations (live state pointers never travel in findings
+// here — findings force a real exploration — but Outcomes maps need nil/
+// empty normalization).
+func normalizeForCheck(ir InjectionReport) InjectionReport {
+	if len(ir.Outcomes) == 0 {
+		ir.Outcomes = nil
+	}
+	if len(ir.DetectorHits) == 0 {
+		ir.DetectorHits = nil
+	}
+	return ir
 }

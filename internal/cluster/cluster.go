@@ -139,11 +139,6 @@ type TaskReport struct {
 	Panics int
 	// InjectionsDone counts injections fully explored.
 	InjectionsDone int
-	// Pruned counts injections classified benign by a liveness proof
-	// (checker.InjectionReport.Pruned): one explored representative per dead
-	// site plus every elided reuse. Zero unless the spec enables
-	// PruneDeadInjections.
-	Pruned int `json:",omitempty"`
 	// Merged counts injections explored with post-dominator state merging
 	// (checker.InjectionReport.Merged). Their verdicts match the plain
 	// exploration's; StatesExplored reflects the elided work.
@@ -208,11 +203,10 @@ func RunCtx(ctx context.Context, spec checker.Spec, tasks []Task, cfg Config) []
 	if budget <= 0 {
 		budget = DefaultTaskStateBudget
 	}
-	// Resolve the pruning and summary contexts once so every task in the
-	// study shares one analysis and one representative exploration per
-	// breakpoint; without this, each task-spec copy would rebuild its own
-	// memo. The merge context likewise shares one control-flow analysis.
-	spec.EnsurePrune()
+	// Resolve the summary context once so every task in the study shares
+	// one summary set and one representative exploration per breakpoint;
+	// without this, each task-spec copy would rebuild its own memo. The merge
+	// context likewise shares one control-flow analysis.
 	spec.EnsureSummaries()
 	spec.EnsureMerge()
 
@@ -303,10 +297,9 @@ func RunTaskCtx(ctx context.Context, spec checker.Spec, task Task, budget, maxFi
 	if budget <= 0 {
 		budget = DefaultTaskStateBudget
 	}
-	// Share one pruning/summary context across this task's injections (a
-	// caller that installed spec.Prune or spec.Summaries — RunCtx, a dist
-	// worker — shares it wider), and likewise the merge context.
-	spec.EnsurePrune()
+	// Share one summary context across this task's injections (a caller
+	// that installed spec.Summaries — RunCtx, a dist worker — shares it
+	// wider), and likewise the merge context.
 	spec.EnsureSummaries()
 	spec.EnsureMerge()
 	if workers := taskPoolSize(spec.Parallelism, len(task.Injections)); workers > 1 {
@@ -540,9 +533,6 @@ func PoolReports(task Task, irs []checker.InjectionReport, maxFindings int) Task
 	for _, ir := range irs {
 		rep.StatesExplored += ir.StatesExplored
 		rep.Exec.Merge(ir.Exec)
-		if ir.Pruned {
-			rep.Pruned++
-		}
 		if ir.Summarized {
 			rep.Summarized++
 		}
@@ -592,9 +582,6 @@ type Summary struct {
 	Interrupted int
 	// Panics counts isolated panicking injections across all tasks.
 	Panics int
-	// Pruned counts injections across all tasks that a liveness proof
-	// classified benign instead of (or alongside) exploring.
-	Pruned int
 	// Summarized counts injections across all tasks that a compositional
 	// summary proof classified benign.
 	Summarized int
@@ -617,7 +604,6 @@ func Summarize(reports []TaskReport) Summary {
 	for _, r := range reports {
 		s.TotalStates += r.StatesExplored
 		s.TotalInjections += r.InjectionsDone
-		s.Pruned += r.Pruned
 		s.Summarized += r.Summarized
 		s.Merged += r.Merged
 		s.Findings = append(s.Findings, r.Findings...)

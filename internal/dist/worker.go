@@ -64,25 +64,19 @@ type WorkerConfig struct {
 	// part of the campaign spec and never enters the fingerprint, so a fleet
 	// may mix parallelism levels freely.
 	Parallelism int
-	// PruneDead enables liveness-based injection pruning
-	// (checker.Spec.PruneDeadInjections) on this worker. Like Parallelism it
-	// is per-node and operational — absent from the campaign spec and the
-	// fingerprint — because a pruned task result is identical to an unpruned
-	// one apart from the Pruned markers, so a fleet may mix pruning and
-	// non-pruning workers: the pooled verdicts and tallies are unchanged,
-	// and only the markers record which node proved what. The node builds
-	// one liveness analysis per campaign and shares the representative memo
-	// across every task it leases from it.
-	PruneDead bool
 	// UseSummaries enables compositional fault summaries
-	// (checker.Spec.UseSummaries) on this worker. Per-node and operational
-	// like PruneDead: a summarized task result is identical to a plain one
-	// apart from the Summarized markers, so the fleet may mix. The node
-	// builds one summary set per campaign and shares it across its tasks.
+	// (checker.Spec.UseSummaries) on this worker. Like Parallelism it is
+	// per-node and operational — absent from the campaign spec and the
+	// fingerprint — because a summarized task result is identical to a plain
+	// one apart from the Summarized markers, so a fleet may mix summarizing
+	// and plain workers: the pooled verdicts and tallies are unchanged, and
+	// only the markers record which node proved what. The node builds one
+	// summary set per campaign and shares the representative memo across
+	// every task it leases from it.
 	UseSummaries bool
 	// MergeStates enables post-dominator state merging and cycle
 	// acceleration (checker.Spec.MergeStates) on this worker. Per-node and
-	// operational like PruneDead: a merged task result carries identical
+	// operational like UseSummaries: a merged task result carries identical
 	// verdicts and findings, only its Merged markers and lower state counts
 	// differ, so the fleet may mix merging and non-merging workers.
 	MergeStates bool
@@ -147,12 +141,6 @@ func buildSweeper(ctx context.Context, cl *Client, cfg WorkerConfig, id string) 
 	if fp := campaign.Fingerprint(spec); fp != sr.Fingerprint {
 		return nil, fmt.Errorf("dist: spec fingerprint mismatch: coordinator %s, worker %s (diverged builds?)",
 			sr.Fingerprint, fp)
-	}
-	if cfg.PruneDead {
-		// One analysis and one representative memo for the whole campaign on
-		// this node, shared by every task it leases.
-		spec.PruneDeadInjections = true
-		spec.EnsurePrune()
 	}
 	if cfg.UseSummaries || cfg.ShareSummaryCache {
 		// One summary set for the whole campaign on this node. With

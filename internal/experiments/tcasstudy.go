@@ -24,12 +24,6 @@ type TcasConfig struct {
 	Workers int
 	// Watchdog bounds each symbolic path.
 	Watchdog int
-	// PruneDead classifies injections into liveness-dead registers benign by
-	// proof instead of exploring each (checker.Spec.PruneDeadInjections).
-	// The study's verdicts are unchanged; the paper's own Section 6.2 sweep
-	// already applies the coarser syntactic version of this optimization by
-	// enumerating only the registers each instruction uses.
-	PruneDead bool
 	// MergeStates explores each injection with post-dominator state merging
 	// and cycle acceleration (checker.Spec.MergeStates). Verdicts and
 	// findings are unchanged; the states-explored tally drops because fused
@@ -69,12 +63,11 @@ func TcasStudy(ctx context.Context, cfg TcasConfig) (*Result, error) {
 	exec.Watchdog = cfg.Watchdog
 
 	spec := checker.Spec{
-		Program:             prog,
-		Input:               input.Slice(),
-		Exec:                exec,
-		Predicate:           checker.HaltedOutputOtherThan(tcas.UpwardRA),
-		PruneDeadInjections: cfg.PruneDead,
-		MergeStates:         cfg.MergeStates,
+		Program:     prog,
+		Input:       input.Slice(),
+		Exec:        exec,
+		Predicate:   checker.HaltedOutputOtherThan(tcas.UpwardRA),
+		MergeStates: cfg.MergeStates,
 	}
 	tasks := cluster.Split(injections, cfg.Tasks)
 	reports := cluster.RunCtx(ctx, spec, tasks, cluster.Config{
@@ -116,9 +109,6 @@ func TcasStudy(ctx context.Context, cfg TcasConfig) (*Result, error) {
 	res.rowf("tasks: %d launched, %d completed, %d completed empty, %d completed with findings, %d incomplete",
 		sum.Tasks, sum.Completed, sum.CompletedEmpty, sum.CompletedWithFinds, sum.Incomplete)
 	res.rowf("states explored: %d; terminal outcomes: %v", sum.TotalStates, renderOutcomes(sum.Outcomes))
-	if cfg.PruneDead {
-		res.rowf("liveness pruning: %d injections classified benign by proof (verdicts unchanged)", sum.Pruned)
-	}
 	if cfg.MergeStates {
 		res.rowf("state merging: %d injections explored merged; %d shared-step observations and %d loop steps elided (verdicts unchanged)",
 			sum.Merged, sum.Exec.StatesMerged, sum.Exec.StepsElided)

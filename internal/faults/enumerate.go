@@ -1,9 +1,6 @@
 package faults
 
-import (
-	"symplfied/internal/analysis"
-	"symplfied/internal/isa"
-)
+import "symplfied/internal/isa"
 
 // RegisterInjections enumerates the paper's register-error campaign
 // (Section 6.1): for each instruction, err in each register the instruction
@@ -24,40 +21,6 @@ func RegisterInjections(prog *isa.Program, sources bool) []Injection {
 		for r := isa.Reg(1); r < isa.NumRegs; r++ {
 			out = append(out, Injection{Class: ClassRegister, PC: pc, Loc: isa.RegLoc(r)})
 		}
-	}
-	return out
-}
-
-// RegisterInjectionsPruned enumerates the exhaustive register campaign
-// (RegisterInjections with sources=false) minus the injections a liveness
-// proof shows cannot propagate: err in a register that every path writes
-// before reading is overwritten unread, so the exploration would be the
-// fault-free continuation. This is the dataflow generalization of the
-// paper's Section 6.1 syntactic pruning — the paper keeps only registers
-// the instruction at the breakpoint reads; liveness additionally keeps
-// registers read later without an intervening write, and additionally drops
-// registers the instruction reads into a value nothing ever uses.
-//
-// The result is a strict pre-filter: pruned injections simply do not appear,
-// so per-class totals shrink. To keep the benign rows in the report (one
-// verdict per injection, as the paper's tables tally), enumerate the full
-// space and set checker.Spec.PruneDeadInjections instead — the checker then
-// classifies dead-register injections benign without exploring them.
-//
-// a may be nil, in which case the program is analyzed here without a
-// detector table; campaigns with detectors must pass
-// analysis.Analyze(prog, dets) so CHECK reads count as uses.
-func RegisterInjectionsPruned(prog *isa.Program, a *analysis.Analysis) []Injection {
-	if a == nil {
-		a = analysis.Analyze(prog, nil)
-	}
-	all := RegisterInjections(prog, false)
-	out := make([]Injection, 0, len(all))
-	for _, inj := range all {
-		if a.DeadAt(inj.PC, inj.Loc.Reg) {
-			continue
-		}
-		out = append(out, inj)
 	}
 	return out
 }

@@ -321,7 +321,6 @@ main:	read $1
 		{"used/aliased", RegisterInjectionsUsed(aliased)},
 		{"sources/aliased", RegisterInjections(aliased, true)},
 		{"exhaustive/aliased", RegisterInjections(aliased, false)},
-		{"pruned/aliased", RegisterInjectionsPruned(aliased, nil)},
 	} {
 		seen := map[Injection]bool{}
 		for _, inj := range tc.injs {

@@ -48,9 +48,8 @@ const (
 	MConcreteTail        = "symplfied_concrete_tail_states_total"
 	MConcreteTailSkipped = "symplfied_concrete_tail_skipped_steps_total"
 
-	// Static analysis (internal/analysis) and liveness-based pruning.
-	MPrunedInjections = "symplfied_pruned_injections_total" // explorations elided by a liveness proof
-	MLintDiags        = "symplfied_lint_diagnostics_total"  // label severity: error|warning
+	// Static analysis (internal/analysis).
+	MLintDiags = "symplfied_lint_diagnostics_total" // label severity: error|warning
 
 	// Compositional fault summaries (internal/summary) and summary-based
 	// injection elision (internal/checker).

@@ -7,10 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"symplfied/internal/analysis"
 	"symplfied/internal/asm"
 	"symplfied/internal/checker"
 	"symplfied/internal/faults"
+	"symplfied/internal/isa"
 	"symplfied/internal/query"
+	"symplfied/internal/summary"
 )
 
 // fuzzRd draws bytes from the fuzz input, cycling (and defaulting to zero)
@@ -92,6 +95,9 @@ func genSource(data []byte) string {
 // byte-identical to the plain whole-program sweep, apart from the Summarized
 // markers. A composed summary that wrongly classifies an injection benign
 // either panics in the cross-check or diverges the reports; both fail here.
+// The sweep covers every register the generator uses at every pc, including
+// registers held across calls, and every register liveness proves dead must
+// be summary-benign (the summaries subsume the liveness proof).
 func FuzzSummaryCompose(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -113,8 +119,22 @@ func FuzzSummaryCompose(f *testing.F) {
 		}
 		spec.StateBudget = 5_000
 		spec.DiscardStates = true
-		if len(spec.Injections) > 120 {
-			spec.Injections = spec.Injections[:120]
+		spec.Injections = spec.Injections[:0]
+		for _, inj := range faults.RegisterInjections(u.Program, false) {
+			if r := inj.Loc.Reg; r <= 6 || r == isa.RegRA {
+				spec.Injections = append(spec.Injections, inj)
+			}
+		}
+
+		live := analysis.Analyze(u.Program, u.Detectors)
+		set := summary.Build(u.Program, u.Detectors, nil)
+		for _, inj := range spec.Injections {
+			if !live.DeadAt(inj.PC, inj.Loc.Reg) {
+				continue
+			}
+			if e, ok := set.EffectOf(inj.PC, inj.Loc.Reg); !ok || !e.Benign() {
+				t.Errorf("%s: register dead but summary effect %v (ok=%v) on:\n%s", inj, e, ok, src)
+			}
 		}
 
 		plain, err := checker.RunCtx(context.Background(), spec)

@@ -12,7 +12,7 @@ import (
 // keyVersion is folded into every content key; bump it when the canonical
 // encoding or the summary semantics change, so stale on-disk caches
 // invalidate wholesale instead of deserializing into wrong verdicts.
-const keyVersion = "symplfied-summary-v1"
+const keyVersion = "symplfied-summary-v2"
 
 // hash64Writer adapts symbolic.Hash64 to io.Writer so the shared
 // fingerprint encoding (internal/fingerprint) feeds the same canonical
@@ -27,8 +27,9 @@ func (w hash64Writer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// sccKeys computes the content-addressed cache key of every function. A
-// key covers: the key-format version; for every member of the function's
+// sccKeys computes the content-addressed cache key of every function under
+// key-format version (keyVersion outside tests). A key covers: the version;
+// for every member of the function's
 // call-graph SCC (mutually recursive functions are one content unit), the
 // body rendered canonically — entry-relative pc, opcode and operand fields,
 // absolute branch/jump targets, the string literal, and for each CHECK the
@@ -40,12 +41,12 @@ func (w hash64Writer) Write(p []byte) (int, error) {
 // function (its SCC) and its transitive callers; inserting or deleting an
 // instruction shifts absolute pcs and conservatively re-keys everything
 // downstream of the shift — never wrong, just colder.
-func sccKeys(fs *Funcs) []string {
+func sccKeys(fs *Funcs, version string) []string {
 	keys := make([]string, len(fs.Funcs))
 	for _, scc := range sccOrder(fs) {
 		h := symbolic.NewHash64()
 		fp := fingerprint.NewInto(hash64Writer{&h})
-		fp.Line(keyVersion)
+		fp.Line(version)
 		inSCC := make(map[int]bool, len(scc))
 		for _, fi := range scc {
 			inSCC[fi] = true

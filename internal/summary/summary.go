@@ -5,9 +5,11 @@
 // registers still carry it when the function returns. Summaries compose at
 // call sites (a jal consults the callee's summary instead of re-descending),
 // so a campaign can classify an injection as provably benign from the
-// summary of the function containing its site, the per-function analogue of
-// the per-site liveness pruning of internal/checker.PruneContext and the
-// FastFlip-style decomposition described in PAPERS.md.
+// summary of the function containing its site, the FastFlip-style
+// decomposition described in PAPERS.md. Because a call composes the callee's
+// per-register exit taint (a register the callee overwrites on every path
+// leaves the call clean), the summaries subsume per-site register liveness:
+// every register internal/analysis proves dead at a covered site is benign.
 //
 // Summaries are content-addressed: each function's summary is keyed by an
 // FNV-1a hash of its body (entry-relative pcs, canonical operand fields),
@@ -208,7 +210,7 @@ func Build(prog *isa.Program, dets *detector.Table, cache *Cache) *Set {
 		// fixpoint read the optimistic start value.
 		s.sums[i] = &FuncSummary{Name: f.Name, Entry: f.Entry, Opaque: f.Opaque}
 	}
-	keys := sccKeys(fs)
+	keys := sccKeys(fs, keyVersion)
 	var order []int
 	for _, scc := range sccOrder(fs) {
 		s.buildSCC(scc, keys, cache)

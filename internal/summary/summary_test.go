@@ -1,8 +1,10 @@
 package summary
 
 import (
+	"encoding/json"
 	"testing"
 
+	"symplfied/internal/analysis"
 	"symplfied/internal/apps/tcas"
 	"symplfied/internal/asm"
 	"symplfied/internal/isa"
@@ -174,6 +176,41 @@ func TestTaintEscapeToCaller(t *testing.T) {
 	}
 }
 
+// TestCallKillsCallerTaint pins the jal composition rule: the state after a
+// call is exactly the callee's exit taint for the caller's tainted entry
+// locations, so a register the callee overwrites on every path leaves the
+// call clean, an untouched one survives, and a copied one carries the taint
+// to its destination.
+func TestCallKillsCallerTaint(t *testing.T) {
+	none := analysis.RegSet(0)
+	for _, tc := range []struct {
+		name, callee string
+		out          analysis.RegSet // the callee's exit taint for $2
+		want         Effect
+	}{
+		// f overwrites caller-held $2 before returning: the err never
+		// reaches the caller's print.
+		{"overwrites", "\tli $2 #1\n\tjr $31\n", none, 0},
+		// f leaves $2 alone: the caller's print still outputs the err.
+		{"untouched", "\tli $3 #1\n\tjr $31\n", none.Add(2), EffOutput},
+		// f copies $2 into $4 and then overwrites $2: the taint leaves the
+		// call in $4 alone, and the caller prints $4.
+		{"copies", "\tmov $4 $2\n\tli $2 #1\n\tjr $31\n", none.Add(4), EffOutput},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := asm.MustParse("t", "\tjal f\n\tprint $2\n\tprint $4\n\thalt\nf:\n"+tc.callee)
+			s := Build(u.Program, u.Detectors, nil)
+			jal := findOp(t, u.Program, isa.OpJal, 0)
+			if out := s.sums[s.Funcs.byEntry[u.Program.At(jal).Target]].Regs[2].Out; out != tc.out {
+				t.Errorf("callee exit taint for $2 = %v, want %v", out, tc.out)
+			}
+			if e, ok := s.EffectOf(jal, 2); !ok || e != tc.want {
+				t.Errorf("EffectOf(jal, $2) = %v ok=%v, want %v", e, ok, tc.want)
+			}
+		})
+	}
+}
+
 const twoCalleeSrc = `
 	jal f
 	jal h
@@ -255,6 +292,53 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	s2 := Build(u.Program, u.Detectors, NewCache(0, store2))
 	if len(s2.Stats.Computed) != 0 || len(s2.Stats.Hits) != 3 {
 		t.Fatalf("warm from disk: computed %v hits %v", s2.Stats.Computed, s2.Stats.Hits)
+	}
+}
+
+// TestDiskStoreStaleVersionMisses pins the cache invalidation a semantics
+// change relies on: summaries a store holds under an older key version are
+// never served, so a warm run cannot inherit stale verdicts.
+func TestDiskStoreStaleVersionMisses(t *testing.T) {
+	const stale = "symplfied-summary-v1"
+	if keyVersion == stale {
+		t.Fatalf("keyVersion is still %q", stale)
+	}
+	dir := t.TempDir()
+	u := asm.MustParse("t", twoCalleeSrc)
+	fs := Partition(u.Program, u.Detectors)
+	oldKeys, curKeys := sccKeys(fs, stale), sccKeys(fs, keyVersion)
+	sums := Build(u.Program, u.Detectors, nil).Summaries()
+	store, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range oldKeys {
+		if k == curKeys[i] {
+			t.Fatalf("function %d keys identically under %q and %q", i, stale, keyVersion)
+		}
+		v, err := json.Marshal(sums[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Save(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	s := Build(u.Program, u.Detectors, NewCache(0, store2))
+	if len(s.Stats.Hits) != 0 || len(s.Stats.Computed) != len(oldKeys) {
+		t.Fatalf("build over a %s store: computed %v hits %v, want every function computed", stale, s.Stats.Computed, s.Stats.Hits)
+	}
+	if got, want := store2.Len(), 2*len(oldKeys); got != want {
+		t.Fatalf("store holds %d entries after the rebuild, want %d (stale plus current)", got, want)
 	}
 }
 

@@ -106,11 +106,12 @@ func (s *Set) transfer(pc int, st flowState) (flowState, Effect, bool) {
 			acc.MemOut = acc.MemOut || cs.Mem.MemOut
 		}
 		eff |= acc.Effects
-		// The callee may leave caller-held taint untouched (we do not track
-		// must-kills across calls), so the caller's taint persists and the
-		// callee's escaping taint joins it.
-		st.regs = st.regs.Union(acc.Out)
-		st.mem = st.mem || acc.MemOut
+		// The callee's composed summary is the whole story at return: each
+		// entry location's Out already carries taint the callee leaves
+		// untouched, and drops it wherever every path through the callee
+		// overwrites it (taint transfer distributes over the seed set).
+		st.regs = acc.Out
+		st.mem = acc.MemOut
 		return st, eff, false
 
 	case isa.OpLd:

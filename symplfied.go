@@ -253,25 +253,17 @@ type SearchSpec struct {
 	// summaries are captured, bounding memory on huge campaigns. Findings
 	// then have State == nil; Describe still works.
 	DiscardStates bool
-	// PruneDeadInjections elides explorations a liveness proof shows are
-	// redundant: a transient register error injected into a register that
-	// every path overwrites before reading cannot propagate, so one
-	// representative exploration per breakpoint stands in for all dead
-	// registers there (each such report is marked Pruned). Verdicts are
-	// identical to an unpruned run's; like Parallelism this is an
-	// operational knob, excluded from the campaign fingerprint. See
-	// internal/analysis, and SYMPLFIED_CHECK_PRUNING to audit the proof on
-	// a live run.
-	PruneDeadInjections bool
 	// UseSummaries elides explorations a compositional fault summary proves
 	// benign: per-function taint summaries, composed across call sites and
 	// return continuations, show the injected err reaches no output, no
 	// detector read, and no control decision (each such report is marked
-	// Summarized). It covers taint that dies later, or in a callee, which
-	// PruneDeadInjections cannot, at the cost of the calling-convention
-	// assumption documented on summary.Partition. It is not a superset of
-	// PruneDeadInjections: some dead-register sites are not summary-benign.
-	// Operational like Parallelism: excluded from the campaign fingerprint.
+	// Summarized), so one representative exploration per breakpoint stands
+	// in for all benign registers there. It covers every register a liveness
+	// proof shows dead at the breakpoint (overwritten on every path before
+	// any read) and also taint that dies later, or in a callee, at the cost
+	// of the calling-convention assumption documented on summary.Partition.
+	// Verdicts are identical to a plain run's; operational like
+	// Parallelism: excluded from the campaign fingerprint.
 	// See internal/summary, and SYMPLFIED_CHECK_SUMMARIES to audit the
 	// proof on a live run.
 	UseSummaries bool
@@ -318,7 +310,6 @@ func (s SearchSpec) build() (checker.Spec, error) {
 	spec.PerInjectionTimeout = s.PerInjectionTimeout
 	spec.Parallelism = s.Parallelism
 	spec.DiscardStates = s.DiscardStates
-	spec.PruneDeadInjections = s.PruneDeadInjections
 	spec.UseSummaries = s.UseSummaries
 	spec.SummaryCache = s.SummaryCache
 	spec.MergeStates = s.MergeStates
@@ -399,12 +390,6 @@ type StudyConfig struct {
 	// study or Workers: 1 — since cluster.RunCtx keeps a multi-task pool
 	// from oversubscribing the cores.
 	Parallelism int
-	// PruneDeadInjections enables the liveness-based pruning of
-	// SearchSpec.PruneDeadInjections for the whole study: one shared proof
-	// context spans every task, so a breakpoint's representative exploration
-	// is reused across task boundaries. Task reports and the pooled summary
-	// are identical to the unpruned study's apart from the Pruned markers.
-	PruneDeadInjections bool
 	// UseSummaries enables SearchSpec.UseSummaries for the whole study: one
 	// shared summary set and representative memo span every task, so a
 	// benign site's exploration is reused across task boundaries.
@@ -444,9 +429,6 @@ func StudyCtx(ctx context.Context, s SearchSpec, cfg StudyConfig) ([]TaskReport,
 	}
 	if cfg.Parallelism != 0 {
 		spec.Parallelism = cfg.Parallelism
-	}
-	if cfg.PruneDeadInjections {
-		spec.PruneDeadInjections = true
 	}
 	if cfg.UseSummaries {
 		spec.UseSummaries = true
