@@ -15,7 +15,9 @@
 // fault-injection baseline (internal/simplescalar) a run stops at a chosen
 // instruction with RunUntil, is copied with Restore, and has its state
 // mutated with SetReg/SetMem/SetPC, emulating the paper's augmented
-// SimpleScalar; the machine keeps the last TraceTailLen executed program
+// SimpleScalar; SameConfig tells when an injected copy is back in the
+// fault-free copy's configuration, and ResultView reads a result without
+// copying it. The machine keeps the last TraceTailLen executed program
 // counters for crash-site context. RunTail runs a state kept outside the
 // machine (an Image) and hands it back: the model checker runs the err-free
 // stretches of its symbolic paths this way, and RunTail skips the laps of a
@@ -26,6 +28,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -358,6 +361,43 @@ func (m *Machine) RunCtx(ctx context.Context) Result {
 
 func (m *Machine) result() Result {
 	return Result{Status: m.status, Exception: m.exc, Output: m.Output(), Steps: m.steps}
+}
+
+// ResultView returns the result Run would return without copying it: its
+// Output aliases the machine's output buffer, so it must not be written,
+// and it is only valid until the machine next runs or is restored. Like
+// Run's, it is never nil.
+func (m *Machine) ResultView() Result {
+	out := m.out
+	if out == nil {
+		out = noOutput
+	}
+	return Result{Status: m.status, Exception: m.exc, Output: out, Steps: m.steps}
+}
+
+// noOutput is the output of a result view of a machine that has printed
+// nothing.
+var noOutput = []OutItem{}
+
+// SameConfig reports whether m and o are in the same configuration:
+// program, input, watchdog, detectors, program counter, step count, status
+// and exception, registers, input position, output, memory and trace tail.
+// Running either on from here executes the same instructions and ends with
+// equal Results and trace tails. Two restored copies of one machine that
+// have defined the same words since compare memory slot for slot.
+func (m *Machine) SameConfig(o *Machine) bool {
+	return m.pc == o.pc && m.steps == o.steps && m.status == o.status &&
+		m.inPos == o.inPos && m.fetches == o.fetches && len(m.out) == len(o.out) &&
+		m.prog == o.prog && m.watchdog == o.watchdog && m.dets == o.dets && m.tail == o.tail &&
+		(m.exc == o.exc || m.exc != nil && o.exc != nil && *m.exc == *o.exc) &&
+		m.regs == o.regs && m.trace == o.trace && sameInput(m.in, o.in) &&
+		slices.Equal(m.out, o.out) && m.mem.Equal(&o.mem)
+}
+
+// sameInput reports whether two input streams hold the same values. Restored
+// copies share one stream, which it recognizes without a scan.
+func sameInput(a, b []isa.Value) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
 
 func (m *Machine) raise(kind isa.ExceptionKind, detail string) {

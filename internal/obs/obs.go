@@ -47,6 +47,9 @@ const (
 	// and the part of them the machine's cycle accelerator skipped.
 	MConcreteTail        = "symplfied_concrete_tail_states_total"
 	MConcreteTailSkipped = "symplfied_concrete_tail_skipped_steps_total"
+	// Concrete campaign trials (internal/simplescalar) answered from the
+	// fault-free run by a masking proof instead of run to their end.
+	MConcreteAnswered = "symplfied_concrete_trials_answered_total" // label shortcut: unreached|same-value|converged
 
 	// Static analysis (internal/analysis).
 	MLintDiags = "symplfied_lint_diagnostics_total" // label severity: error|warning

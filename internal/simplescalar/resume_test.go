@@ -233,26 +233,94 @@ func fuzzProgram(data []byte) (*isa.Program, error) {
 	return b.Build()
 }
 
+// fuzzSeeds is FuzzCheckpointedTrial's seed corpus: data, two values and
+// a watchdog.
+var fuzzSeeds = []struct {
+	data     []byte
+	v1, v2   int64
+	watchdog uint16
+}{
+	{[]byte{}, 7, -1, 500},
+	{[]byte("\x01\x02\x03\x04\x10\x11\x12\x13\x20\x21\x22\x23\x2c\x2d\x2e\x2f"), 1 << 40, 3, 64},
+	{[]byte{43, 1, 2, 3, 44, 2, 3, 4, 42, 1, 1, 1, 48, 5, 5, 5}, 12, 0, 9},
+	{[]byte{45, 0, 7, 1, 47, 3, 1, 2, 46, 4, 0, 0, 50, 1, 2, 3}, -9, 2, 1000},
+}
+
 // FuzzCheckpointedTrial: on generated programs, every trial at every
-// injection point — run from its point's shared prefix snapshot — equals
-// the from-scratch reference, for the fuzzed values and the extremes.
+// injection point — run from its point's shared prefix snapshot, or
+// answered from the fault-free run — equals the from-scratch reference,
+// for the fuzzed values, the extremes and the value the register already
+// holds, and so does every label of the campaign's labels-only path.
 func FuzzCheckpointedTrial(f *testing.F) {
-	f.Add([]byte{}, int64(7), int64(-1), uint16(500))
-	f.Add([]byte("\x01\x02\x03\x04\x10\x11\x12\x13\x20\x21\x22\x23\x2c\x2d\x2e\x2f"), int64(1<<40), int64(3), uint16(64))
-	f.Add([]byte{43, 1, 2, 3, 44, 2, 3, 4, 42, 1, 1, 1, 48, 5, 5, 5}, int64(12), int64(0), uint16(9))
-	f.Add([]byte{45, 0, 7, 1, 47, 3, 1, 2, 46, 4, 0, 0, 50, 1, 2, 3}, int64(-9), int64(2), uint16(1000))
+	for _, s := range fuzzSeeds {
+		f.Add(s.data, s.v1, s.v2, s.watchdog)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, v1, v2 int64, watchdog uint16) {
-		prog, err := fuzzProgram(data)
-		if err != nil {
-			t.Skip(err)
+		checkFuzzCase(t, data, v1, v2, watchdog)
+	})
+}
+
+// TestFuzzSeedsAnswerEveryShortcut: the seed corpus alone drives every
+// masking proof, so the fuzz target checks each against from-scratch runs.
+func TestFuzzSeedsAnswerEveryShortcut(t *testing.T) {
+	var hits [numShortcuts]int
+	for _, s := range fuzzSeeds {
+		h := checkFuzzCase(t, s.data, s.v1, s.v2, s.watchdog)
+		for i := range hits {
+			hits[i] += h[i]
 		}
-		cfg := Config{Program: prog, Input: []int64{3, -7, 0, 1 << 40}, Watchdog: 1 + int(watchdog)%2000}
-		var injs []Injection
-		for _, pt := range EnumeratePoints(prog) {
-			for _, v := range append([]int64{v1, v2}, extremes...) {
-				injs = append(injs, Injection{Point: pt, Value: v})
+	}
+	for s := unreached; s < numShortcuts; s++ {
+		if hits[s] == 0 {
+			t.Errorf("shortcut %v answered no trial of the seed corpus (hits %v)", s, hits)
+		}
+	}
+}
+
+// checkFuzzCase is one FuzzCheckpointedTrial case. It returns how many
+// labels-only trials each shortcut answered.
+func checkFuzzCase(t *testing.T, data []byte, v1, v2 int64, watchdog uint16) [numShortcuts]int {
+	t.Helper()
+	prog, err := fuzzProgram(data)
+	if err != nil {
+		t.Skip(err)
+	}
+	cfg := Config{
+		Program:  prog,
+		Input:    []int64{3, -7, 0, 1 << 40},
+		Watchdog: 1 + int(watchdog)%2000,
+		Classify: SingleValueClassifier(3, -7, 0),
+	}
+	var injs []Injection
+	for _, pt := range EnumeratePoints(prog) {
+		vals := append([]int64{v1, v2}, extremes...)
+		m := machine.New(cfg.Program, cfg.Input, machine.Options{Watchdog: cfg.Watchdog})
+		if m.RunUntil(pt.PC, 1) {
+			if held, ok := m.Reg(pt.Reg).Concrete(); ok {
+				vals = append(vals, held)
 			}
 		}
-		checkResumed(t, cfg, injs)
-	})
+		for _, v := range vals {
+			injs = append(injs, Injection{Point: pt, Value: v})
+		}
+	}
+	checkResumed(t, cfg, injs)
+	return checkLabels(t, cfg, injs)
+}
+
+// checkLabels runs injs through the labels-only path the way RunResilient
+// does and requires every label to be the from-scratch reference's. It
+// returns how many trials each shortcut answered.
+func checkLabels(t *testing.T, cfg Config, injs []Injection) [numShortcuts]int {
+	t.Helper()
+	pt := NewPointTrials(cfg, Point{})
+	for _, inj := range injs {
+		pt.moveTo(inj.Point)
+		got, interrupted := pt.label(context.Background(), inj.Value)
+		want := classifySafely(cfg.Classify, referenceTrial(cfg, inj).Result)
+		if interrupted || got != want {
+			t.Fatalf("%+v: label %q (interrupted %v), reference %q", inj, got, interrupted, want)
+		}
+	}
+	return pt.hits
 }

@@ -10,6 +10,28 @@
 // The point of the baseline — and of Table 2 — is that random/extreme
 // concrete injection fails to find outcomes that require a *specific*
 // corrupted value, which SymPLFIED's symbolic enumeration finds easily.
+//
+// Most trials are the fault-free run again, and PointTrials proves so
+// instead of running them. A campaign runs its fault-free run once, forward
+// only as far as trials need it, recording the step at which each pc first
+// executes. A trial is then answered with the fault-free run's result and
+// trace tail, without running the interpreter, when one of three masking
+// proofs holds:
+//
+//   - unreached: the fault-free run never executes the point, or first
+//     reaches it when the watchdog is due, so nothing is injected;
+//   - same value: the register already holds the value (or is $0), so the
+//     injected state is the fault-free state;
+//   - converged: after the point's instruction runs, the injected machine is
+//     in the same configuration (machine.SameConfig: registers, memory,
+//     output, input position, pc, step count, trace) as the fault-free
+//     machine after it. The machine is deterministic, so both run on alike.
+//
+// Every other trial runs from the point's fault-free prefix snapshot. A
+// campaign (RunResilient) asks for labels only: it classifies a result view
+// that aliases the machine's output, builds no trial record, and
+// classifies the fault-free result once. Cross-validation takes full Trial
+// records from the same engine.
 package simplescalar
 
 import (
@@ -28,6 +50,7 @@ import (
 	"symplfied/internal/detector"
 	"symplfied/internal/isa"
 	"symplfied/internal/machine"
+	"symplfied/internal/obs"
 )
 
 // Point is one static injection site: err is injected into Reg just before
@@ -66,6 +89,12 @@ type Injection struct {
 // Classifier maps a finished run to an outcome label. Crash/hang
 // classification is shared; the label for normal terminations is
 // application-specific (e.g. the tcas advisory value).
+//
+// A Classifier must be a pure function of the Result: a campaign labels
+// every trial its masking proofs answer with the label of the fault-free
+// result, classified once. It must not retain res.Output, which aliases
+// the machine's output buffer and changes with the next trial.
+// SingleValueClassifier is the one implementation.
 type Classifier func(res machine.Result) string
 
 // Labels shared by classifiers.
@@ -94,11 +123,18 @@ func SingleValueClassifier(allowed ...int64) Classifier {
 			}
 			return LabelCrash
 		case machine.StatusHalted:
-			vals := machine.OutputValues(res.Output)
-			if len(vals) != 1 {
+			var val isa.Value
+			n := 0
+			for _, o := range res.Output {
+				if !o.IsStr {
+					val = o.Val
+					n++
+				}
+			}
+			if n != 1 {
 				return LabelOther
 			}
-			v, conc := vals[0].Concrete()
+			v, conc := val.Concrete()
 			if !conc || !ok[v] {
 				return LabelOther
 			}
@@ -162,25 +198,58 @@ var extremes = []int64{0, int64(^uint64(0) >> 1), -int64(^uint64(0)>>1) - 1}
 
 // Enumerate builds the campaign's injection list deterministically.
 func Enumerate(cfg Config) []Injection {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	randomPer := cfg.RandomPerReg
-	if randomPer <= 0 {
-		randomPer = 3
-	}
-	pts := EnumeratePoints(cfg.Program)
-	injs := make([]Injection, 0, len(pts)*(len(extremes)+randomPer))
-	for _, pt := range pts {
-		for _, v := range extremes {
-			injs = append(injs, Injection{Point: pt, Value: v})
+	var injs []Injection
+	for g := newInjections(cfg); ; {
+		inj, ok := g.next()
+		if !ok {
+			return injs
 		}
-		for i := 0; i < randomPer; i++ {
-			injs = append(injs, Injection{Point: pt, Value: int64(rng.Uint64())})
-		}
+		injs = append(injs, inj)
 	}
-	if cfg.MaxInjections > 0 && len(injs) > cfg.MaxInjections {
-		injs = injs[:cfg.MaxInjections]
+}
+
+// injections generates a campaign's injections in order, one at a time: for
+// each point of EnumeratePoints the three extremes, then RandomPerReg values
+// drawn from one generator seeded with Seed, stopping after MaxInjections.
+type injections struct {
+	rng       *rand.Rand
+	pts       []Point
+	randomPer int
+	max       int
+	// n counts the injections generated, and i those of pts[0].
+	n, i int
+}
+
+func newInjections(cfg Config) *injections {
+	g := &injections{
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		pts:       EnumeratePoints(cfg.Program),
+		randomPer: cfg.RandomPerReg,
+		max:       cfg.MaxInjections,
 	}
-	return injs
+	if g.randomPer <= 0 {
+		g.randomPer = 3
+	}
+	return g
+}
+
+// next returns the next injection, or false after the last.
+func (g *injections) next() (Injection, bool) {
+	if g.i == len(extremes)+g.randomPer {
+		g.pts, g.i = g.pts[1:], 0
+	}
+	if len(g.pts) == 0 || g.max > 0 && g.n == g.max {
+		return Injection{}, false
+	}
+	inj := Injection{Point: g.pts[0]}
+	if g.i < len(extremes) {
+		inj.Value = extremes[g.i]
+	} else {
+		inj.Value = int64(g.rng.Uint64())
+	}
+	g.n++
+	g.i++
+	return inj, true
 }
 
 // PointValues returns the values injected at one site: the three extremes
@@ -258,40 +327,170 @@ func TrialCtx(ctx context.Context, cfg Config, inj Injection) Trial {
 	return NewPointTrials(cfg, inj.Point).Trial(ctx, inj.Value)
 }
 
-// PointTrials runs the trials of one injection point. The fault-free prefix
-// runs once, up to the point's first execution; each trial then restores
-// that snapshot into a reused machine, writes its value and runs on. Every
-// Trial it returns equals the record of a run from scratch that writes the
-// value just before the first execution of the point. A PointTrials is not
-// safe for concurrent use.
+// shortcut names the masking proof that answered a trial from the fault-free
+// run; ran means none did and the interpreter ran the trial to its end.
+type shortcut int
+
+const (
+	ran shortcut = iota
+	// unreached: the fault-free run never executes the point, or first
+	// reaches it when the watchdog is due, so nothing is injected.
+	unreached
+	// sameValue: the register already holds the value (or is $0), so the
+	// injection leaves the fault-free state as it is.
+	sameValue
+	// converged: after the point's instruction the machine is in the
+	// configuration the fault-free run is in after it.
+	converged
+	numShortcuts
+)
+
+// String names the shortcut, as the shortcut label of the live counter.
+func (s shortcut) String() string {
+	return [numShortcuts]string{"ran", "unreached", "same-value", "converged"}[s]
+}
+
+// liveAnswered counts the trials each shortcut answered, process-wide.
+var liveAnswered = func() (c [numShortcuts]*obs.Counter) {
+	for s := unreached; s < numShortcuts; s++ {
+		c[s] = obs.Default().Counter(obs.MConcreteAnswered, obs.L("shortcut", s.String()))
+	}
+	return c
+}()
+
+// nowhere is a program counter no instruction has.
+const nowhere = -1
+
+// pollMask gates how often the fault-free run polls its context: before
+// every pollMask+1-th instruction, as a machine run does.
+const pollMask = 1023
+
+// faultFree is a campaign's fault-free run, run forward only as far as a
+// trial needs it. first holds, for each pc, the step count before its first
+// execution (-1: not seen yet); once m has stopped, its result and trace
+// tail are the record of every trial a shortcut answers.
+type faultFree struct {
+	m     machine.Machine
+	first []int
+	// label is the classifier's label of the finished run, once labelled.
+	label    string
+	labelled bool
+}
+
+// runTo runs the fault-free run on until it is about to execute pc for the
+// first time (pc outside the program: until it stops) or ctx interrupts it.
+func (f *faultFree) runTo(ctx context.Context, pc int) {
+	m := &f.m
+	for m.Status() == machine.StatusRunning {
+		at := m.PC()
+		if uint(at) < uint(len(f.first)) && f.first[at] < 0 {
+			f.first[at] = m.Steps()
+			if at == pc {
+				return
+			}
+		}
+		if m.Steps()&pollMask == 0 && ctx.Err() != nil {
+			return
+		}
+		m.Step()
+	}
+}
+
+// reach runs the fault-free run until it is known whether it executes pc:
+// at is the step count before the first execution, or -1 when the run
+// stopped without one. ok is false when ctx interrupted the run first.
+func (f *faultFree) reach(ctx context.Context, pc int) (at int, ok bool) {
+	in := uint(pc) < uint(len(f.first))
+	if !in || f.first[pc] < 0 {
+		f.runTo(ctx, pc)
+	}
+	if in && f.first[pc] >= 0 {
+		return f.first[pc], true
+	}
+	return -1, f.m.Status() != machine.StatusRunning
+}
+
+// PointTrials runs the trials of one injection point, and of every point it
+// is moved to in one campaign. The fault-free prefix runs once, up to the
+// point's first execution; each trial then restores that snapshot into a
+// reused machine, writes its value and runs on — unless a masking proof
+// answers it from the campaign's fault-free run (see the package doc).
+// Every Trial it returns equals the record of a run from scratch that
+// writes the value just before the first execution of the point. A
+// PointTrials is not safe for concurrent use.
 type PointTrials struct {
-	pt Point
-	// start is the machine before its first step; base runs the fault-free
-	// prefix from it (primed once base holds this point's prefix, finished
-	// or not); work runs each trial from base.
-	start  *machine.Machine
-	base   machine.Machine
-	work   machine.Machine
-	primed bool
+	pt       Point
+	classify Classifier
+	// start is the machine before its first step. ff is the fault-free run
+	// from it, shared by every point (nil until a trial needs it). base holds
+	// a state of the fault-free run, up to this point's first execution
+	// (valid while primed); next is that first execution's successor state
+	// when nextPC is the point's pc; work runs each trial.
+	start      *machine.Machine
+	ff         *faultFree
+	base, next machine.Machine
+	work       machine.Machine
+	primed     bool
+	nextPC     int
+	// hits counts the trials each shortcut answered.
+	hits [numShortcuts]int
 }
 
 // NewPointTrials prepares the trials of pt under cfg. Nothing runs until the
 // first Trial.
 func NewPointTrials(cfg Config, pt Point) *PointTrials {
 	return &PointTrials{
-		pt: pt,
+		pt:       pt,
+		classify: cfg.Classify,
 		start: machine.New(cfg.Program, cfg.Input, machine.Options{
 			Watchdog:  cfg.Watchdog,
 			Detectors: cfg.Detectors,
 		}),
+		nextPC: nowhere,
 	}
 }
 
 // moveTo retargets p at another point of the same campaign, keeping its
-// machines' storage.
-func (p *PointTrials) moveTo(pt Point) {
-	p.pt = pt
-	p.primed = false
+// machines, their storage and the fault-free run.
+func (p *PointTrials) moveTo(pt Point) { p.pt = pt }
+
+// faultFreeRun returns the campaign's fault-free run, starting it if needed.
+func (p *PointTrials) faultFreeRun() *faultFree {
+	if p.ff == nil {
+		p.ff = &faultFree{first: make([]int, p.start.Program().Len())}
+		for i := range p.ff.first {
+			p.ff.first[i] = -1
+		}
+		p.ff.m.Restore(p.start)
+	}
+	return p.ff
+}
+
+// outcome is where a trial ended, before it is recorded: m is the machine
+// whose state it is — the fault-free run's when a shortcut answered it.
+type outcome struct {
+	m           *machine.Machine
+	answered    shortcut
+	activated   bool
+	killed      bool
+	interrupted bool
+	panicked    bool
+	panicValue  string
+}
+
+// result is the trial's Result, its Output aliasing m's. A trial killed at
+// its deadline gets a synthesized watchdog-style timeout.
+func (o *outcome) result() machine.Result {
+	res := o.m.ResultView()
+	if o.killed {
+		res.Status = machine.StatusExcepted
+		res.Exception = &isa.Exception{
+			Kind:   isa.ExcTimeout,
+			PC:     o.m.PC(),
+			Detail: fmt.Sprintf("killed at wall-clock deadline after %d instructions", res.Steps),
+		}
+	}
+	return res
 }
 
 // Trial injects v at the point under ctx. Cancellation and deadlines behave
@@ -299,65 +498,153 @@ func (p *PointTrials) moveTo(pt Point) {
 // context already done interrupts the trial before its first instruction.
 // A point the fault-free run never reaches — or first reaches when the
 // watchdog is already due — yields the fault-free result, not activated.
-func (p *PointTrials) Trial(ctx context.Context, v int64) (tr Trial) {
+func (p *PointTrials) Trial(ctx context.Context, v int64) Trial {
+	o := p.run(ctx, v)
+	tr := Trial{
+		Activated:   o.activated,
+		Killed:      o.killed,
+		Interrupted: o.interrupted,
+		Panicked:    o.panicked,
+		PanicValue:  o.panicValue,
+	}
+	if o.m != nil {
+		tr.TraceTail = o.m.TraceTail()
+	}
+	if !o.panicked {
+		tr.Result = o.result()
+		tr.Result.Output = append(make([]machine.OutItem, 0, len(tr.Result.Output)), tr.Result.Output...)
+	}
+	return tr
+}
+
+// label injects v at the point under ctx and classifies the result without
+// recording the trial. A trial a shortcut answers takes the fault-free run's
+// label, classified once per campaign. interrupted reports a trial ctx
+// stopped, which must not be tallied.
+func (p *PointTrials) label(ctx context.Context, v int64) (label string, interrupted bool) {
+	o := p.run(ctx, v)
+	switch {
+	case o.interrupted || o.killed:
+		// ctx here is the campaign's context: both cancellation and an
+		// expired campaign deadline mean "stop now", not "tally a hang".
+		return "", true
+	case o.panicked:
+		return LabelPanic, false
+	case o.answered != ran:
+		if !p.ff.labelled {
+			p.ff.label, p.ff.labelled = classifySafely(p.classify, o.m.ResultView()), true
+		}
+		return p.ff.label, false
+	}
+	return classifySafely(p.classify, o.m.ResultView()), false
+}
+
+// run carries out the trial of v under ctx. A panic is isolated into a
+// panicked outcome, and the machine it happened on is rebuilt before it is
+// used again.
+func (p *PointTrials) run(ctx context.Context, v int64) (o outcome) {
 	var (
 		cur       *machine.Machine
 		activated bool
 	)
 	defer func() {
 		if r := recover(); r != nil {
-			tr = Trial{Panicked: true, PanicValue: fmt.Sprint(r), Activated: activated}
-			if cur != nil {
-				tr.TraceTail = cur.TraceTail()
-			}
-			if cur == &p.base {
-				p.primed = false // the prefix state is suspect: rerun it
+			o = outcome{m: cur, activated: activated, panicked: true, panicValue: fmt.Sprint(r)}
+			switch {
+			case cur == &p.base:
+				p.primed = false
+			case p.ff != nil && cur == &p.ff.m:
+				p.ff = nil
 			}
 		}
 	}()
 	if ctx.Err() != nil {
 		cur = &p.work
 		p.work.Restore(p.start)
-		return finish(ctx, cur, p.work.RunCtx(ctx), false)
+		return runOn(ctx, cur, false)
+	}
+	ff := p.faultFreeRun()
+	// answer is the trial's outcome when shortcut s proves it is the
+	// fault-free run.
+	answer := func(s shortcut) outcome {
+		cur = &ff.m
+		if ff.m.Status() == machine.StatusRunning {
+			ff.runTo(ctx, nowhere)
+			if ff.m.Status() == machine.StatusRunning {
+				return settle(ctx, cur, activated)
+			}
+		}
+		p.hits[s]++
+		liveAnswered[s].Inc()
+		return outcome{m: cur, answered: s, activated: activated}
+	}
+	cur = &ff.m
+	at, ok := ff.reach(ctx, p.pt.PC)
+	if !ok {
+		return settle(ctx, cur, false)
+	}
+	if at < 0 || at >= ff.m.Watchdog() {
+		return answer(unreached)
 	}
 	cur = &p.base
-	if !p.primed {
+	if !p.primed || p.base.Steps() > at {
 		p.base.Restore(p.start)
 		p.primed = true
 	}
-	if !p.base.RunUntilCtx(ctx, p.pt.PC) || p.base.Steps() >= p.base.Watchdog() {
-		// Not reached (yet, when ctx interrupted the prefix): the fault-free
-		// run is the trial.
-		return finish(ctx, cur, p.base.RunCtx(ctx), false)
+	if !p.base.RunUntilCtx(ctx, p.pt.PC) {
+		return settle(ctx, cur, false)
+	}
+	activated = true
+	if p.pt.Reg == isa.RegZero || p.base.Reg(p.pt.Reg) == isa.Int(v) {
+		return answer(sameValue)
+	}
+	if p.nextPC != p.pt.PC {
+		cur = &p.next
+		p.nextPC = nowhere
+		p.next.Restore(&p.base)
+		p.next.Step()
+		p.nextPC = p.pt.PC
 	}
 	cur = &p.work
-	activated = true
 	p.work.Restore(&p.base)
 	p.work.SetReg(p.pt.Reg, isa.Int(v))
-	return finish(ctx, cur, p.work.RunCtx(ctx), true)
+	p.work.Step()
+	r := p.pt.Reg
+	if p.work.Reg(r) == p.next.Reg(r) && p.work.SameConfig(&p.next) {
+		return answer(converged)
+	}
+	return runOn(ctx, cur, true)
 }
 
-// finish builds the trial record of machine m, which returned res under ctx.
-func finish(ctx context.Context, m *machine.Machine, res machine.Result, activated bool) Trial {
-	tr := Trial{Result: res, Activated: activated, TraceTail: m.TraceTail()}
-	if res.Status == machine.StatusRunning {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			tr.Killed = true
-			tr.Result = machine.Result{
-				Status: machine.StatusExcepted,
-				Exception: &isa.Exception{
-					Kind:   isa.ExcTimeout,
-					PC:     m.PC(),
-					Detail: fmt.Sprintf("killed at wall-clock deadline after %d instructions", res.Steps),
-				},
-				Output: res.Output,
-				Steps:  res.Steps,
-			}
-		} else {
-			tr.Interrupted = true
-		}
+// runOn runs m on until it stops or ctx interrupts it, without copying its
+// output, and returns its outcome.
+func runOn(ctx context.Context, m *machine.Machine, activated bool) outcome {
+	for m.RunUntilCtx(ctx, nowhere) {
+		m.Step() // a jump to nowhere: the fetch raises
 	}
-	return tr
+	return settle(ctx, m, activated)
+}
+
+// settle is the outcome of machine m, which has stopped or which ctx
+// interrupted.
+func settle(ctx context.Context, m *machine.Machine, activated bool) outcome {
+	o := outcome{m: m, activated: activated}
+	if m.Status() == machine.StatusRunning {
+		o.killed = errors.Is(ctx.Err(), context.DeadlineExceeded)
+		o.interrupted = !o.killed
+	}
+	return o
+}
+
+// classifySafely labels res, isolating a panicking classifier into the
+// LabelPanic bucket.
+func classifySafely(classify Classifier, res machine.Result) (label string) {
+	defer func() {
+		if r := recover(); r != nil {
+			label = LabelPanic
+		}
+	}()
+	return classify(res)
 }
 
 // Run executes the whole campaign and tallies outcomes.
@@ -405,20 +692,27 @@ func key(inj Injection) string {
 // RunResilient executes the campaign under ctx with checkpoint/resume
 // support. Cancellation returns the partial tallies with Interrupted set; a
 // run that panics is isolated into the LabelPanic bucket instead of killing
-// the campaign.
+// the campaign. The trial itself polls ctx, so cancellation interrupts a
+// hang mid-run instead of waiting out the watchdog; an interrupted trial is
+// never tallied.
 func RunResilient(ctx context.Context, cfg Config, res Resilience) (*Report, error) {
+	rep, _, err := runCampaign(ctx, cfg, res)
+	return rep, err
+}
+
+// runCampaign is RunResilient, also returning how many trials each shortcut
+// answered.
+func runCampaign(ctx context.Context, cfg Config, res Resilience) (*Report, [numShortcuts]int, error) {
+	var hits [numShortcuts]int
 	if cfg.Program == nil {
-		return nil, fmt.Errorf("simplescalar: nil program")
+		return nil, hits, fmt.Errorf("simplescalar: nil program")
 	}
-	classify := cfg.Classify
-	if classify == nil {
-		return nil, fmt.Errorf("simplescalar: nil classifier")
+	if cfg.Classify == nil {
+		return nil, hits, fmt.Errorf("simplescalar: nil classifier")
 	}
 	if res.Resume && res.Checkpoint == "" {
-		return nil, fmt.Errorf("simplescalar: Resume requires a Checkpoint path")
+		return nil, hits, fmt.Errorf("simplescalar: Resume requires a Checkpoint path")
 	}
-	injs := Enumerate(cfg)
-
 	journaled := map[string]json.RawMessage{}
 	var journal *campaign.Journal
 	if res.Checkpoint != "" {
@@ -427,86 +721,87 @@ func RunResilient(ctx context.Context, cfg Config, res Resilience) (*Report, err
 			var err error
 			journaled, err = campaign.LoadJournal(res.Checkpoint, journalKind, fp)
 			if err != nil {
-				return nil, err
+				return nil, hits, err
 			}
 		}
 		var err error
 		journal, err = campaign.OpenJournal(res.Checkpoint, journalKind, fp)
 		if err != nil {
-			return nil, err
+			return nil, hits, err
 		}
 		defer journal.Close()
 	}
 
-	rep := &Report{
-		Counts:   make(map[string]int),
-		Examples: make(map[string]Injection),
-	}
-	tally := func(inj Injection, label string) {
-		rep.Counts[label]++
-		rep.Total++
-		if _, seen := rep.Examples[label]; !seen {
-			rep.Examples[label] = inj
+	// The tallies go into rep on every return, so a cut-short campaign
+	// reports its completed prefix.
+	rep := &Report{}
+	var tl tally
+	defer tl.fill(rep)
+	// One PointTrials moves through the campaign, so every trial shares its
+	// fault-free run, and injections lists each point's values together, so
+	// consecutive trials share a point's fault-free prefix too.
+	trials := NewPointTrials(cfg, Point{})
+	for g := newInjections(cfg); ; {
+		inj, ok := g.next()
+		if !ok {
+			break
 		}
-	}
-	// Enumerate lists each point's values together, so consecutive trials
-	// share one PointTrials and its fault-free prefix.
-	var trials *PointTrials
-	for _, inj := range injs {
 		var k string
 		if journal != nil {
 			k = key(inj)
 			if raw, ok := journaled[k]; ok {
 				var rec runRecord
 				if err := json.Unmarshal(raw, &rec); err == nil {
-					tally(inj, rec.Label)
+					tl.add(inj, rec.Label)
 					rep.Resumed++
 					continue
 				}
 			}
 		}
-		if ctx.Err() != nil {
-			rep.Interrupted = true
-			break
-		}
-		if trials == nil {
-			trials = NewPointTrials(cfg, inj.Point)
-		} else if trials.pt != inj.Point {
-			trials.moveTo(inj.Point)
-		}
-		label, interrupted := classifyTrial(trials.Trial(ctx, inj.Value), classify)
+		trials.moveTo(inj.Point)
+		label, interrupted := trials.label(ctx, inj.Value)
 		if interrupted {
 			rep.Interrupted = true
 			break
 		}
-		tally(inj, label)
+		tl.add(inj, label)
 		if journal != nil {
 			if err := journal.Append(k, runRecord{Label: label}); err != nil {
-				return rep, err
+				return rep, trials.hits, err
 			}
 		}
 	}
-	return rep, nil
+	return rep, trials.hits, nil
 }
 
-// classifyTrial labels one trial with a recover boundary, so a panicking
-// interpreter run (or classifier) is one bad bucket entry, not a dead
-// campaign. The trial itself polls ctx, so cancellation interrupts a hang
-// mid-run instead of waiting out the watchdog — interrupted trials are
-// reported as such and never tallied.
-func classifyTrial(tr Trial, classify Classifier) (label string, interrupted bool) {
-	if tr.Interrupted || tr.Killed {
-		// ctx here is the campaign's context: both cancellation and an
-		// expired campaign deadline mean "stop now", not "tally a hang".
-		return "", true
-	}
-	if tr.Panicked {
-		return LabelPanic, false
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			label = LabelPanic
+// tally counts a campaign's labels. A campaign sees a handful of labels, so
+// scanning them beats a map update per trial.
+type tally struct {
+	labels   []string
+	counts   []int
+	examples []Injection // the first injection of each label
+}
+
+// add counts one injection's label.
+func (t *tally) add(inj Injection, label string) {
+	for i, l := range t.labels {
+		if l == label {
+			t.counts[i]++
+			return
 		}
-	}()
-	return classify(tr.Result), false
+	}
+	t.labels = append(t.labels, label)
+	t.counts = append(t.counts, 1)
+	t.examples = append(t.examples, inj)
+}
+
+// fill writes the tallies into rep.
+func (t *tally) fill(rep *Report) {
+	rep.Counts = make(map[string]int, len(t.labels))
+	rep.Examples = make(map[string]Injection, len(t.labels))
+	for i, l := range t.labels {
+		rep.Counts[l] = t.counts[i]
+		rep.Examples[l] = t.examples[i]
+		rep.Total += t.counts[i]
+	}
 }
