@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
 	"sort"
@@ -36,7 +37,7 @@ import (
 //     instruction the worlds cannot distinguish (symexec.ShareableStep) once
 //     for all of them, and splits back into singles the moment a step could
 //     observe the difference. The fused worlds form an ite-style disjunction
-//     over the same skeleton (symbolic.Disjunction).
+//     over the same skeleton.
 //
 //   - A single state that revisits its own configuration (everything equal
 //     except the step counter, symexec.LoopHash) inside a deterministic
@@ -165,17 +166,6 @@ func (e *mentry) deferredAt(pc int) bool {
 		}
 	}
 	return false
-}
-
-// Worlds returns the fused constraint stores as a disjunction: the merged
-// state is reachable iff any world is. Diagnostic; the explorer itself keeps
-// the worlds separate so splits restore each sibling exactly.
-func (e *mentry) Worlds() *symbolic.Disjunction {
-	d := &symbolic.Disjunction{}
-	for _, w := range e.worlds {
-		d.Worlds = append(d.Worlds, w.sym)
-	}
-	return d
 }
 
 // exploreInjectionMerged is the merged-explorer variant of exploreInjection:
@@ -601,7 +591,7 @@ func checkMergedExploration(ctx context.Context, spec Spec, inj faults.Injection
 		return
 	}
 	if merged.TerminalStates != explored.TerminalStates || merged.Truncated != explored.Truncated ||
-		!reflect.DeepEqual(normalizeForCheck(mergedOutcomesOnly(merged)), normalizeForCheck(mergedOutcomesOnly(explored))) {
+		!maps.Equal(merged.Outcomes, explored.Outcomes) {
 		panic(fmt.Sprintf("merging cross-check: %s: tally drift:\nmerged:   terminals=%d truncated=%v outcomes=%v\nunmerged: terminals=%d truncated=%v outcomes=%v",
 			inj, merged.TerminalStates, merged.Truncated, merged.Outcomes,
 			explored.TerminalStates, explored.Truncated, explored.Outcomes))
@@ -616,13 +606,6 @@ func checkMergedExploration(ctx context.Context, spec Spec, inj faults.Injection
 		panic(fmt.Sprintf("merging cross-check: %s: findings drift:\nmerged (%d): %v\nunmerged (%d): %v",
 			inj, len(mf), mf, len(ef), ef))
 	}
-}
-
-// mergedOutcomesOnly projects a report onto its outcome tally so the
-// DeepEqual above compares outcomes with nil/empty normalization and nothing
-// else.
-func mergedOutcomesOnly(ir InjectionReport) InjectionReport {
-	return InjectionReport{Outcomes: ir.Outcomes}
 }
 
 // CanonicalFindings renders findings order-insensitively: the full

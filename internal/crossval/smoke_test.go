@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"symplfied/internal/apps/factorial"
 	"symplfied/internal/apps/tcas"
 )
 
@@ -68,5 +69,39 @@ func TestCrossvalSmokeTCAS(t *testing.T) {
 	}
 	if rep.Trials == 0 {
 		t.Fatal("smoke sweep ran no trials")
+	}
+}
+
+// TestCrossvalSmokeFactorial pins the seeded factorial cross-validation
+// campaign (the CLI's -app factorial -crossval defaults): its erroneous
+// paths loop toward the watchdog, minting a root per iteration, so it is
+// the deep-path guard — the store's fork cost must not grow with the roots
+// a path has minted. Every class-drift is on a point whose exploration ran
+// out of budget, never a conclusive disagreement.
+func TestCrossvalSmokeFactorial(t *testing.T) {
+	rep, err := RunCtx(context.Background(), Spec{
+		Program:      factorial.Plain(),
+		Input:        []int64{5},
+		Seed:         2008,
+		RandomPerReg: 3,
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("crossval factorial: %s", rep.Summary())
+	if !rep.Sound() {
+		t.Fatal("symbolic engine missed concrete outcomes")
+	}
+	if rep.Points != 15 || rep.Trials != 90 || rep.Agreements != 70 || rep.InconclusivePoints != 6 {
+		t.Errorf("points %d, trials %d, agreements %d, inconclusive points %d; want 15, 90, 70, 6",
+			rep.Points, rep.Trials, rep.Agreements, rep.InconclusivePoints)
+	}
+	if len(rep.ByClass) != 1 || rep.ByClass[ClassDrift.String()] != 20 {
+		t.Errorf("mismatches by class %v, want 20 class-drifts only", rep.ByClass)
+	}
+	for _, m := range rep.Mismatches {
+		if !m.Inconclusive {
+			t.Errorf("conclusive %s mismatch: %+v (repro: %s)", m.Class, m.Point, m.Repro)
+		}
 	}
 }

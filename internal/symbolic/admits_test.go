@@ -7,21 +7,18 @@ import (
 	"symplfied/internal/isa"
 )
 
-// scopedEq is the probe AdmitsEq replaces: conjoin "t == v" inside a scope
-// and rewind.
-func scopedEq(s *Store, t Term, v int64) bool {
-	sc := s.Push()
-	ok := s.ConstrainTerm(t, isa.CmpEq, v)
-	s.Pop(sc)
-	return ok
+// clonedEq is the probe AdmitsEq answers without a copy: conjoin "t == v"
+// on a clone of the store.
+func clonedEq(s *Store, t Term, v int64) bool {
+	return s.Clone().ConstrainTerm(t, isa.CmpEq, v)
 }
 
 // TestAdmitsEqMatchesScopedConstrain checks the read-only equality probe
-// against Push/ConstrainTerm(CmpEq)/Pop on random stores: coefficients ±1
+// against ConstrainTerm(CmpEq) on a clone, on random stores: coefficients ±1
 // and larger, offsets near the int64 limits, unconstrained, bounded,
 // disequality-carrying and unsatisfiable sets, relations between roots,
-// and terms over roots the store has never seen. It also checks that the
-// probe leaves the store exactly as it found it.
+// and terms over roots the store has never seen. It also checks that
+// neither the probe nor the constrained clone changes the store.
 func TestAdmitsEqMatchesScopedConstrain(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	coeffs := []int64{1, -1, 2, -2, 3, -7, 1 << 40, -(1 << 40), maxInt64, minInt64 + 1}
@@ -79,10 +76,13 @@ func TestAdmitsEqMatchesScopedConstrain(t *testing.T) {
 		if k2, h2 := storeFingerprint(s); k2 != key || h2 != hash {
 			t.Fatalf("iter %d: AdmitsEq mutated the store: %q -> %q", iter, key, k2)
 		}
-		want := scopedEq(s, term, v)
+		want := clonedEq(s, term, v)
 		if got != want {
-			t.Fatalf("iter %d: AdmitsEq(%v == %d) = %v, scoped ConstrainTerm = %v; store %q",
+			t.Fatalf("iter %d: AdmitsEq(%v == %d) = %v, cloned ConstrainTerm = %v; store %q",
 				iter, term, v, got, want, key)
+		}
+		if k2, h2 := storeFingerprint(s); k2 != key || h2 != hash {
+			t.Fatalf("iter %d: constraining a clone mutated the store: %q -> %q", iter, key, k2)
 		}
 		agree++
 		if got {
@@ -124,8 +124,8 @@ func TestAdmitsEqCases(t *testing.T) {
 		if got := s.AdmitsEq(tc.t, tc.v); got != tc.want {
 			t.Errorf("%s: AdmitsEq(%v == %d) = %v, want %v", tc.name, tc.t, tc.v, got, tc.want)
 		}
-		if got, want := s.AdmitsEq(tc.t, tc.v), scopedEq(s, tc.t, tc.v); got != want {
-			t.Errorf("%s: AdmitsEq %v, scoped probe %v", tc.name, got, want)
+		if got, want := s.AdmitsEq(tc.t, tc.v), clonedEq(s, tc.t, tc.v); got != want {
+			t.Errorf("%s: AdmitsEq %v, cloned probe %v", tc.name, got, want)
 		}
 	}
 }

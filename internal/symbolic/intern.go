@@ -1,7 +1,6 @@
 package symbolic
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -18,12 +17,11 @@ import (
 //     panic on an interned set, so a canonical pointer can be shared by any
 //     number of stores, goroutines, and cached snapshots without copying;
 //   - the content hash is computed once at intern time and cached, so state
-//     keying (Store.KeyHash) costs O(roots) instead of re-hashing every
-//     bound and disequality of every set.
+//     keying (Store.KeyHash) costs O(constrained roots) instead of
+//     re-hashing every bound and disequality of every set.
 //
-// Interning is what makes constraint scopes (Store.Push/Pop) and
-// copy-on-write cloning O(1): a snapshot captures map shells whose values
-// are guaranteed never to change underneath it.
+// Interning is what makes copy-on-write cloning O(1): a clone shares the
+// store's slices, whose values are guaranteed never to change underneath it.
 
 // internShards is the number of lock shards; a power of two so the hash can
 // be masked. 64 keeps contention negligible for a worker pool of realistic
@@ -80,8 +78,8 @@ func internCopy(c *Constraints) *Constraints {
 	return cp
 }
 
-// internedEmpty is the canonical unconstrained set, shared by every fresh
-// root in every store.
+// internedEmpty is the canonical unconstrained set: what RootConstraints
+// returns for a minted root that no entry constrains.
 var internedEmpty = Intern(NewConstraints())
 
 // equalContent reports structural equality of two constraint sets.
@@ -105,36 +103,4 @@ func equalContent(a, b *Constraints) bool {
 // feed live metrics, not per-injection reports.
 func InternStats() (hits, misses int64) {
 	return internHits.Load(), internMisses.Load()
-}
-
-// Disjunction is the constraint of a merged state: a choice between the
-// symbolic stores of the control-flow paths that were fused at a
-// post-dominator. It is the ite-free normal form of ite-style merging — each
-// disjunct carries the whole constraint world of one path — which keeps the
-// per-world solver queries (affine inversion + difference logic) unchanged.
-type Disjunction struct {
-	// Worlds holds one store per fused path, in deterministic merge order.
-	Worlds []*Store
-}
-
-// Satisfiable reports whether any disjunct is satisfiable.
-func (d *Disjunction) Satisfiable() bool {
-	for _, w := range d.Worlds {
-		if w.Satisfiable() {
-			return true
-		}
-	}
-	return false
-}
-
-// Describe renders the disjunction for reports, one world per disjunct.
-func (d *Disjunction) Describe() string {
-	if len(d.Worlds) == 0 {
-		return "no symbolic state"
-	}
-	parts := make([]string, len(d.Worlds))
-	for i, w := range d.Worlds {
-		parts[i] = "(" + w.Describe() + ")"
-	}
-	return strings.Join(parts, " ∨ ")
 }

@@ -142,10 +142,10 @@ func hashLoc(h *Hash64, l isa.Loc) {
 }
 
 // KeyHash folds the store's canonical content into h: the location→term
-// map, the per-root constraint sets (unconstrained roots excluded, matching
-// Key), and the difference-relation multiset. Unordered components fold
-// commutatively, so the hash equals for exactly the stores whose canonical
-// Key strings are equal — without sorting or rendering anything.
+// map, the constrained roots' sets, and the difference-relation multiset.
+// Unordered components fold commutatively, so the hash equals for exactly
+// the stores whose canonical Key strings are equal — without sorting or
+// rendering anything.
 func (s *Store) KeyHash(h *Hash64) {
 	var terms uint64
 	for _, lt := range s.terms {
@@ -160,18 +160,13 @@ func (s *Store) KeyHash(h *Hash64) {
 	h.Word(terms)
 
 	var cons uint64
-	var constrained uint64
-	for r, c := range s.cons {
-		if c == nil || c.Unconstrained() {
-			continue
-		}
-		constrained++
-		cons += entryHash(func(e *Hash64) {
-			e.Int(int64(r))
-			e.Word(c.contentHash())
+	for _, e := range s.cons {
+		cons += entryHash(func(eh *Hash64) {
+			eh.Int(int64(e.root))
+			eh.Word(e.set.contentHash())
 		})
 	}
-	h.Word(constrained)
+	h.Word(uint64(len(s.cons)))
 	h.Word(cons)
 
 	var rels uint64

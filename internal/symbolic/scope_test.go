@@ -13,10 +13,25 @@ func storeFingerprint(s *Store) (string, uint64) {
 	return s.Key(), h.Sum()
 }
 
-// TestScopePushPopBalance drives deep chains of push / constrain / pop —
-// the shape the executor's fork feasibility pre-checks produce — and
-// verifies the store is restored exactly at every depth, including with
-// clones taken between Push and Pop (the copy-on-write hazard).
+// storeState is a store's observable state at one point of a clone chain.
+type storeState struct {
+	key  string
+	hash uint64
+	sat  bool
+}
+
+func stateOf(s *Store) storeState {
+	key, hash := storeFingerprint(s)
+	return storeState{key, hash, s.Satisfiable()}
+}
+
+// TestScopePushPopBalance drives deep clone chains — the shape forking
+// produces: at every depth it clones the store (push) and mutates the parent,
+// then checks that every clone taken earlier still shows its state (pop
+// back to it). At the end each clone replays the step the parent took from
+// it and must reach the state the parent reached. Clones share backing
+// arrays, so a sorted insert that writes through a shared array is exactly
+// what this catches.
 func TestScopePushPopBalance(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -31,9 +46,15 @@ func TestScopePushPopBalance(t *testing.T) {
 			s.ConstrainRoot(r, isa.CmpNe, int64(lvl))
 		}},
 		{"fresh-roots-and-terms", 32, func(s *Store, r RootID, lvl int) {
-			nr := s.NewRoot()
-			s.SetTerm(isa.RegLoc(isa.Reg(lvl%30)), FreshTerm(nr))
-			s.ConstrainRoot(nr, isa.CmpEq, int64(lvl))
+			// Level lvl mints roots 2lvl+1 and 2lvl+2 and constrains only
+			// the second; the next level's first write constrains the first,
+			// an insert into the middle of a shared entry list.
+			if lvl > 0 {
+				s.ConstrainRoot(RootID(2*lvl-1), isa.CmpGe, int64(lvl))
+			}
+			a, b := s.NewRoot(), s.NewRoot()
+			s.SetTerm(isa.RegLoc(isa.Reg(lvl%30)), FreshTerm(a))
+			s.ConstrainRoot(b, isa.CmpEq, int64(lvl))
 		}},
 		{"relations", 32, func(s *Store, r RootID, lvl int) {
 			nr := s.NewRoot()
@@ -51,63 +72,37 @@ func TestScopePushPopBalance(t *testing.T) {
 			s.ConstrainRoot(root, isa.CmpGe, -1000)
 
 			type level struct {
-				scope    Scope
-				key      string
-				hash     uint64
-				sat      bool
-				snapshot *Store // clone taken inside the scope, must survive Pop
+				clone         *Store
+				before, after storeState
 			}
-			var stack []level
+			var chain []level
 			for lvl := 0; lvl < tc.depth; lvl++ {
-				key, hash := storeFingerprint(s)
-				stack = append(stack, level{scope: s.Push(), key: key, hash: hash, sat: s.Satisfiable()})
+				before := stateOf(s)
+				chain = append(chain, level{clone: s.Clone(), before: before})
 				tc.step(s, root, lvl)
-				stack[len(stack)-1].snapshot = s.Clone()
+				chain[lvl].after = stateOf(s)
+				for d, l := range chain {
+					if got := stateOf(l.clone); got != l.before {
+						t.Fatalf("%s: step %d changed the clone taken at depth %d:\n taken %+v\n now   %+v",
+							tc.name, lvl, d, l.before, got)
+					}
+				}
 			}
-			// Pop all the way back down, checking restoration at each level.
+			// Deepest first, so each replay runs while shallower clones
+			// still share arrays with it.
 			for lvl := tc.depth - 1; lvl >= 0; lvl-- {
-				l := stack[lvl]
-				snapKey, snapHash := storeFingerprint(l.snapshot)
-				s.Pop(l.scope)
-				key, hash := storeFingerprint(s)
-				if key != l.key || hash != l.hash {
-					t.Fatalf("%s depth %d: Pop did not restore the store:\n pre-Push  %q (%x)\n post-Pop  %q (%x)",
-						tc.name, lvl, l.key, l.hash, key, hash)
+				l := chain[lvl]
+				if got := stateOf(l.clone); got != l.before {
+					t.Fatalf("%s depth %d: a deeper replay changed this clone:\n taken %+v\n now   %+v",
+						tc.name, lvl, l.before, got)
 				}
-				if got := s.Satisfiable(); got != l.sat {
-					t.Fatalf("%s depth %d: satisfiability flipped across Push/Pop: %v -> %v", tc.name, lvl, l.sat, got)
-				}
-				// The clone taken inside the scope must be untouched by Pop.
-				if k, h := storeFingerprint(l.snapshot); k != snapKey || h != snapHash {
-					t.Fatalf("%s depth %d: Pop corrupted a clone taken inside the scope", tc.name, lvl)
+				tc.step(l.clone, root, lvl)
+				if got := stateOf(l.clone); got != l.after {
+					t.Fatalf("%s depth %d: replaying the step on the clone diverged:\n parent %+v\n clone  %+v",
+						tc.name, lvl, l.after, got)
 				}
 			}
 		})
-	}
-}
-
-// TestScopeFeasibilityProbe is the intended use: probe a branch's
-// feasibility on the parent store without cloning the state, then rewind.
-func TestScopeFeasibilityProbe(t *testing.T) {
-	s := NewStore()
-	root := s.Inject(isa.RegLoc(2))
-	if !s.ConstrainRoot(root, isa.CmpGe, 10) {
-		t.Fatal("setup unsat")
-	}
-	term := FreshTerm(root)
-
-	sc := s.Push()
-	if s.ConstrainTerm(term, isa.CmpLt, 5) {
-		t.Fatal("x>=10 && x<5 should be infeasible")
-	}
-	s.Pop(sc)
-
-	// After the rewind the contradictory atom is gone.
-	if !s.Satisfiable() {
-		t.Fatal("store unsat after Pop")
-	}
-	if !s.ConstrainTerm(term, isa.CmpLt, 50) {
-		t.Fatal("x>=10 && x<50 should be feasible")
 	}
 }
 

@@ -16,23 +16,26 @@ import (
 //
 // A Store belongs to exactly one symbolic state; forking a state clones it.
 //
-// Both maps are dense slices: terms is a short unordered list of (location,
-// term) pairs — few locations hold err at once — and cons is indexed by
-// RootID, nil meaning absent. Every walk over them either sorts (Locs,
-// Roots, Key) or folds commutatively (KeyHash), so their order never shows.
+// Both maps are short slices: terms is an unordered list of (location,
+// term) pairs — few locations hold err at once — and cons lists only the
+// constrained roots, sorted by RootID. A root without an entry is
+// unconstrained; that is the one encoding of "unconstrained", so minting a
+// root writes nothing and a fork copies only the roots its path constrained.
+// Every walk over terms either sorts (Locs, Key) or folds commutatively
+// (KeyHash), so its order never shows.
 //
 // The constraint sets inside cons are interned (intern.go): each value is an
-// immutable canonical *Constraints, so cloning, snapshotting (Push/Pop), and
-// hashing never copy or re-render a set. Mutation is functional — copy the
-// set, refine it, re-intern, swap the pointer — which is exactly the delta a
-// forked child re-checks: the one root the fork constrained.
+// immutable canonical *Constraints, so cloning and hashing never copy or
+// re-render a set. Mutation is functional — copy the set, refine it,
+// re-intern, swap the pointer — which is exactly the delta a forked child
+// re-checks: the one root the fork constrained.
 type Store struct {
 	terms []locTerm
-	cons  []*Constraints // indexed by RootID; values are interned, immutable
-	rels  []diffEdge     // difference constraints between roots (relations.go)
+	cons  []rootCons // constrained roots only, sorted by root
+	rels  []diffEdge // difference constraints between roots (relations.go)
 	next  RootID
 	// shared marks the slices whose backing arrays may be referenced by
-	// another Store after a Clone or Push, one bit per slice (sharedTerms,
+	// another Store after a Clone, one bit per slice (sharedTerms,
 	// sharedCons, sharedRels); the first mutation of a slice copies it.
 	// Most forked states never touch their store again — a control-flow
 	// fork constrains only the root involved, and plenty of successors
@@ -51,6 +54,13 @@ type Store struct {
 type locTerm struct {
 	loc  isa.Loc
 	term Term
+}
+
+// rootCons is one entry of the root→constraints map: a constrained root and
+// its interned, immutable set.
+type rootCons struct {
+	root RootID
+	set  *Constraints
 }
 
 // Bits of Store.shared.
@@ -84,34 +94,61 @@ func (s *Store) ownTerms() {
 	}
 }
 
-// ownCons makes cons private before a mutation, long enough to index r.
-func (s *Store) ownCons(r RootID) {
-	n := max(len(s.cons), int(r)+1)
+// ownCons makes cons private before a mutation, with room for one more.
+func (s *Store) ownCons() {
 	if s.shared&sharedCons != 0 {
-		cons := make([]*Constraints, n, n+1)
-		copy(cons, s.cons)
-		s.cons = cons
+		s.cons = append(make([]rootCons, 0, len(s.cons)+1), s.cons...)
 		s.shared &^= sharedCons
-		return
-	}
-	for len(s.cons) < n {
-		s.cons = append(s.cons, nil)
 	}
 }
 
-// setRoot swaps in r's interned constraint set.
-func (s *Store) setRoot(r RootID, c *Constraints) {
-	s.ownCons(r)
-	s.cons[r] = c
-	s.relsSatCached = false // bounds feed the difference-graph solve
+// consIndex returns r's position in cons, or where its entry would go, and
+// whether the entry is there. It is a plain loop because every fork that
+// constrains a root runs it, and there a generic search's closure costs
+// measurably.
+func (s *Store) consIndex(r RootID) (int, bool) {
+	lo, hi := 0, len(s.cons)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.cons[m].root < r {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.cons) && s.cons[lo].root == r
 }
 
-// root returns r's constraint set, or nil when r has none.
+// root returns r's constraint set: its entry's, internedEmpty for a minted
+// root without one, or nil for a root the store never minted.
 func (s *Store) root(r RootID) *Constraints {
-	if r < 0 || int(r) >= len(s.cons) {
-		return nil
+	if i, ok := s.consIndex(r); ok {
+		return s.cons[i].set
 	}
-	return s.cons[r]
+	if r >= 0 && r < s.next {
+		return internedEmpty
+	}
+	return nil
+}
+
+// putRoot records the interned set c as r's constraints, where (i, found)
+// is consIndex(r). An unconstrained set removes the entry rather than being
+// stored.
+func (s *Store) putRoot(i int, found bool, r RootID, c *Constraints) {
+	s.relsSatCached = false // bounds feed the difference-graph solve
+	switch {
+	case c.Unconstrained():
+		if found {
+			s.ownCons()
+			s.cons = slices.Delete(s.cons, i, i+1)
+		}
+	case found:
+		s.ownCons()
+		s.cons[i].set = c
+	default:
+		s.ownCons()
+		s.cons = slices.Insert(s.cons, i, rootCons{r, c})
+	}
 }
 
 // termIndex returns loc's position in terms, or -1.
@@ -124,39 +161,10 @@ func (s *Store) termIndex(loc isa.Loc) int {
 	return -1
 }
 
-// Scope is a savepoint of the store's entire constraint state, captured by
-// Push and restored by Pop. Because the slices are copy-on-write over
-// immutable interned values, a scope is O(1) to take and to restore: Push
-// freezes the current slices, the next mutation copies them, and Pop swaps
-// the frozen slices back. A scope answers "would this conjunction be
-// feasible?" for any constraint without cloning the whole state; the fork
-// enumeration's equality probes use the cheaper read-only AdmitsEq.
-type Scope struct {
-	store Store
-}
-
-// Push opens a constraint scope: a savepoint Pop rewinds to. Scopes nest;
-// Pop in reverse order of Push.
-func (s *Store) Push() Scope {
-	s.shared = sharedAll
-	return Scope{store: *s}
-}
-
-// Pop rewinds the store to the savepoint: every term, constraint, relation,
-// and root minted since the matching Push is discarded.
-func (s *Store) Pop(sc Scope) {
-	*s = sc.store
-	// The restored slices may still be shared with clones taken between
-	// Push and Pop; stay copy-on-write.
-	s.shared = sharedAll
-}
-
 // NewRoot introduces a fresh, unconstrained erroneous quantity.
 func (s *Store) NewRoot() RootID {
 	r := s.next
 	s.next++
-	s.ownCons(r)
-	s.cons[r] = internedEmpty
 	return r
 }
 
@@ -211,29 +219,19 @@ func (s *Store) Term(loc isa.Loc) (Term, bool) {
 	return Term{}, false
 }
 
-// TermOrFresh returns loc's term, minting a fresh root if the location holds
-// err but no term was recorded (e.g. err stored through an unknown pointer).
-func (s *Store) TermOrFresh(loc isa.Loc) Term {
-	if t, ok := s.Term(loc); ok {
-		return t
-	}
-	t := FreshTerm(s.NewRoot())
-	s.SetTerm(loc, t)
-	return t
-}
-
 // updateRoot applies the functional mutation protocol to one root's set:
 // clone the interned value with room for room more disequalities, let f
 // refine the mutable copy, re-intern, swap the pointer. Returns f's verdict
 // (conventionally "still satisfiable").
 func (s *Store) updateRoot(r RootID, room int, f func(*Constraints) bool) bool {
-	cur := s.root(r)
-	if cur == nil {
-		cur = internedEmpty
+	i, found := s.consIndex(r)
+	cur := internedEmpty
+	if found {
+		cur = s.cons[i].set
 	}
 	mut := cur.cloneWithRoom(room)
 	sat := f(mut)
-	s.setRoot(r, Intern(mut))
+	s.putRoot(i, found, r, Intern(mut))
 	return sat
 }
 
@@ -242,12 +240,12 @@ func (s *Store) updateRoot(r RootID, room int, f func(*Constraints) bool) bool {
 // prune the state).
 func (s *Store) ConstrainRoot(r RootID, cmp isa.Cmp, v int64) bool {
 	if cmp == isa.CmpEq {
-		if cur := s.root(r); cur == nil || cur.Admits(v) {
+		if i, found := s.consIndex(r); !found || s.cons[i].set.Admits(v) {
 			// A feasible equality pins the root: AddCmp would leave exactly
 			// lo == hi == v, every disequality normalized away, so skip
 			// copying them.
 			pinned := Constraints{hasLo: true, lo: v, hasHi: true, hi: v}
-			s.setRoot(r, internCopy(&pinned))
+			s.putRoot(i, found, r, internCopy(&pinned))
 			return true
 		}
 	}
@@ -350,8 +348,8 @@ func (s *Store) ConcretizeRoot(r RootID, set func(loc isa.Loc, v int64)) {
 }
 
 // AdmitsEq reports whether conjoining "t == v" would leave t's root
-// satisfiable, without touching the store: the read-only twin of a
-// Push/ConstrainTerm(CmpEq)/Pop probe. It is exact because an equality atom
+// satisfiable, without touching the store: the read-only twin of
+// ConstrainTerm(CmpEq) on a clone. It is exact because an equality atom
 // on a root is satisfiable iff the root's set admits the value, and
 // ConstrainTerm never consults the difference relations.
 func (s *Store) AdmitsEq(t Term, v int64) bool {
@@ -387,26 +385,17 @@ func (s *Store) ExactValue(t Term) (int64, bool) {
 // Terms are affine in a single root each, so per-root satisfiability implies
 // global satisfiability.
 func (s *Store) Satisfiable() bool {
-	for _, c := range s.cons {
-		if c != nil && !c.Satisfiable() {
+	for _, e := range s.cons {
+		if !e.set.Satisfiable() {
 			return false
 		}
 	}
 	return s.relsSatisfiable()
 }
 
-// Roots returns the roots in increasing order.
-func (s *Store) Roots() []RootID {
-	out := make([]RootID, 0, len(s.cons))
-	for r, c := range s.cons {
-		if c != nil {
-			out = append(out, RootID(r))
-		}
-	}
-	return out
-}
-
-// RootConstraints returns the constraint set recorded for r, or nil.
+// RootConstraints returns the constraint set recorded for r: an
+// unconstrained set for a minted root nothing constrained, and nil for a
+// root the store never minted.
 func (s *Store) RootConstraints(r RootID) *Constraints { return s.root(r) }
 
 // Locs returns the locations currently holding err, registers first, both
@@ -443,11 +432,8 @@ func (s *Store) Key() string {
 	for _, lt := range s.sortedTerms() {
 		fmt.Fprintf(&b, "%s=%s;", lt.loc, lt.term)
 	}
-	for r, c := range s.cons {
-		if c == nil || c.Unconstrained() {
-			continue
-		}
-		fmt.Fprintf(&b, "e#%d:%s;", r, c.Key())
+	for _, e := range s.cons {
+		fmt.Fprintf(&b, "e#%d:%s;", e.root, e.set.Key())
 	}
 	b.WriteString(s.RelsKey())
 	return b.String()
@@ -463,14 +449,11 @@ func (s *Store) Describe() string {
 		}
 		fmt.Fprintf(&b, "%s=%s", lt.loc, lt.term)
 	}
-	for r, c := range s.cons {
-		if c == nil || c.Unconstrained() {
-			continue
-		}
+	for _, e := range s.cons {
 		if b.Len() > 0 {
 			b.WriteString("; ")
 		}
-		fmt.Fprintf(&b, "e#%d: %s", r, strings.ReplaceAll(c.String(), "x", fmt.Sprintf("e#%d", r)))
+		fmt.Fprintf(&b, "e#%d: %s", e.root, strings.ReplaceAll(e.set.String(), "x", fmt.Sprintf("e#%d", e.root)))
 	}
 	if b.Len() == 0 {
 		return "no symbolic state"

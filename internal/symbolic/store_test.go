@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"runtime"
 	"testing"
 
 	"symplfied/internal/isa"
@@ -185,16 +186,6 @@ func TestStoreKeyDeterministic(t *testing.T) {
 	}
 }
 
-func TestStoreTermOrFresh(t *testing.T) {
-	s := NewStore()
-	loc := isa.RegLoc(4)
-	tm := s.TermOrFresh(loc)
-	tm2 := s.TermOrFresh(loc)
-	if tm != tm2 {
-		t.Error("TermOrFresh minted twice for the same location")
-	}
-}
-
 func TestStoreDescribe(t *testing.T) {
 	s := NewStore()
 	if s.Describe() != "no symbolic state" {
@@ -205,5 +196,34 @@ func TestStoreDescribe(t *testing.T) {
 	d := s.Describe()
 	if d == "no symbolic state" || len(d) == 0 {
 		t.Errorf("Describe = %q", d)
+	}
+}
+
+// TestForkConstrainCostIndependentOfRootsMinted pins the fork cost to what
+// the path constrained: cloning a store and constraining one root allocates
+// the same bytes whether the store has minted 10 roots or 10,000, because
+// minting records nothing and a clone copies only the constrained roots.
+func TestForkConstrainCostIndependentOfRootsMinted(t *testing.T) {
+	const runs = 200
+	bytesPerOp := func(minted int) uint64 {
+		s := NewStore()
+		for i := 0; i < minted; i++ {
+			s.NewRoot()
+		}
+		s.ConstrainRoot(0, isa.CmpGe, 0)
+		last := RootID(minted - 1)
+		s.Clone().ConstrainRoot(last, isa.CmpEq, 7) // warm the intern table
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			s.Clone().ConstrainRoot(last, isa.CmpEq, 7)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	few, many := bytesPerOp(10), bytesPerOp(10_000)
+	t.Logf("clone+constrain: %d B/op after 10 roots minted, %d B/op after 10,000", few, many)
+	if many > few+64 {
+		t.Fatalf("clone+constrain allocates %d B/op after 10,000 roots minted, %d B/op after 10", many, few)
 	}
 }

@@ -64,7 +64,8 @@ func termInvariant(s *State) error {
 		switch {
 		case loc.IsMem:
 			if v, ok := s.Mem.Load(loc.Addr); !ok || !v.IsErr() {
-				return fmt.Errorf("pc %d: %s holds %v (defined %v) but has term %v", s.PC, loc, v, ok, s.Sym.TermOrFresh(loc))
+				t, _ := s.Sym.Term(loc)
+				return fmt.Errorf("pc %d: %s holds %v (defined %v) but has term %v", s.PC, loc, v, ok, t)
 			}
 		case loc.Reg != isa.RegZero && !s.Regs[loc.Reg].IsErr():
 			return fmt.Errorf("pc %d: %s holds %v but has a term", s.PC, loc, s.Regs[loc.Reg])
