@@ -25,6 +25,19 @@
 // steps symbolically throughout: its states park at post-dominators, which
 // a concrete tail would run past.
 //
+// A jump through an erroneous target forks to every valid code address
+// (paper Section 5.2), and pinning the target usually leaves each child
+// err-free, bound for a concrete tail. The plain explorer therefore queues
+// such a fan-out as one frontier entry, a cursor (symexec.ControlFan) whose
+// unproduced children count in the frontier's width, with the fork and
+// prune tallies counted when it forks. Each child is produced when the
+// search reaches it: one that pinning leaves err-free runs its tail in one
+// reused scratch state and is classified there, and its real state (store,
+// trace notes, memory image) is built only if it outlives its pop — it
+// reaches a CHECK, becomes a finding, or meets a predicate that may read
+// more than its result. Deduplication, which hashes every popped state
+// whole, and a MaxControlTargets cap keep the eager fan-out (Successors).
+//
 // The checker is hardened for long campaigns (the paper ran its searches as
 // cluster tasks with a 30-minute wall-clock allotment precisely because big
 // symbolic searches die, hang and blow memory): RunCtx and RunInjectionCtx
@@ -69,6 +82,9 @@ var (
 	liveInternMisses = obs.Default().Gauge(obs.MInternMisses)
 	liveTailStates   = obs.Default().Counter(obs.MConcreteTail)
 	liveTailSkipped  = obs.Default().Counter(obs.MConcreteTailSkipped)
+
+	liveTargetsInPlace      = obs.Default().Counter(obs.MControlTargets, obs.L("path", "in_place"))
+	liveTargetsMaterialized = obs.Default().Counter(obs.MControlTargets, obs.L("path", "materialized"))
 )
 
 // DefaultStateBudget bounds the states explored per injection when the spec
@@ -106,6 +122,11 @@ type Predicate struct {
 	Name string
 	// Match examines a terminal state.
 	Match func(*symexec.State) bool
+	// resultOnly marks the library predicates, which read only a terminal
+	// state's result (outcome, exception and output), never its Sym or
+	// Trace: the explorer may hand them a scratch child of a control
+	// fan-out without building its real state (symexec.State.Materialize).
+	resultOnly bool
 }
 
 // Spec describes one search.
@@ -724,8 +745,24 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 	// the slot so explored states are released to the GC immediately instead
 	// of being pinned by the backing array for the whole search, and the
 	// live window is compacted to the front once the dead prefix dominates.
-	frontier := initial
-	head := 0
+	// A jr through an erroneous target enters it as one entry, a cursor over
+	// its children (symexec.ControlFan, see the package doc), that stays at
+	// the head until every child has been popped; unborn counts the children
+	// such entries hold beyond one each, so the frontier's width is what the
+	// fan-out's children would occupy. Deduplication hashes every popped
+	// state whole, so it keeps the fan-out eager.
+	frontier := make([]frontierEntry, len(initial))
+	for i, st := range initial {
+		frontier[i].st = st
+	}
+	head, unborn := 0, 0
+	var scratch *symexec.Scratch
+	var inPlace, materialized int64
+	defer func() {
+		liveTargetsInPlace.Add(inPlace)
+		liveTargetsMaterialized.Add(materialized)
+	}()
+	resultOnly := spec.Predicate.resultOnly
 	// Visited states are keyed by a 64-bit incremental hash of the canonical
 	// encoding rather than the rendered Key() string — no sorting, no string
 	// building in the hot loop. The Keyer audits hashes against the full
@@ -753,16 +790,29 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 		return cerr != nil
 	}
 	syncFrontier := func() {
-		width := int64(len(frontier) - head)
-		ir.Exec.ObserveFrontier(len(frontier) - head)
-		liveFrontier.Add(width - published)
-		published = width
+		width := len(frontier) - head + unborn
+		ir.Exec.ObserveFrontier(width)
+		liveFrontier.Add(int64(width) - published)
+		published = int64(width)
 	}
 	syncFrontier()
 	for head < len(frontier) {
-		cur := frontier[head]
-		frontier[head] = nil
-		head++
+		var cur *symexec.State
+		fan := frontier[head].fan
+		if fan != nil {
+			if scratch == nil {
+				scratch = new(symexec.Scratch)
+			}
+			cur = fan.Next(scratch)
+		} else {
+			cur = frontier[head].st
+		}
+		if fan != nil && fan.Left() > 0 {
+			unborn--
+		} else {
+			frontier[head] = frontierEntry{}
+			head++
+		}
 		if head >= 1024 && head*2 >= len(frontier) {
 			n := copy(frontier, frontier[head:])
 			frontier = frontier[:n]
@@ -811,22 +861,50 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 					ir.DetectorHits[id]++
 				}
 				ir.Exec.ObserveDepth(int64(cur.Steps))
+				if !resultOnly {
+					cur = cur.Materialize()
+				}
 				if spec.Predicate.Match(cur) {
 					if spec.MaxFindings == 0 || len(ir.Findings) < spec.MaxFindings {
+						cur = cur.Materialize()
 						ir.Findings = append(ir.Findings, newFinding(inj, cur, spec.DiscardStates))
 						liveFindings.Inc()
 					}
 				}
 				break
 			}
+			cur = cur.Materialize() // a scratch child stops only before a CHECK
 			if cur.StepInPlace() {
 				continue
 			}
 			ir.Exec.ObserveDepth(int64(cur.Steps))
-			frontier = append(frontier, cur.Successors()...)
+			if visited == nil {
+				if f, ok := cur.ControlFanout(); ok {
+					frontier = append(frontier, frontierEntry{fan: f})
+					unborn += f.Left() - 1
+					break
+				}
+			}
+			for _, c := range cur.Successors() {
+				frontier = append(frontier, frontierEntry{st: c})
+			}
 			break
+		}
+		if fan != nil {
+			if cur.InPlace() {
+				inPlace++
+			} else {
+				materialized++
+			}
 		}
 		syncFrontier()
 	}
 	return nil
+}
+
+// frontierEntry is one slot of the plain explorer's frontier: a state, or a
+// control fan-out whose children have not all been popped.
+type frontierEntry struct {
+	st  *symexec.State
+	fan *symexec.ControlFan
 }

@@ -11,8 +11,9 @@ import (
 // error — the paper's example search command (Section 5.4).
 func OutputContainsErr() Predicate {
 	return Predicate{
-		Name:  "output contains err",
-		Match: func(s *symexec.State) bool { return s.OutputContainsErr() },
+		resultOnly: true,
+		Name:       "output contains err",
+		Match:      func(s *symexec.State) bool { return s.OutputContainsErr() },
 	}
 }
 
@@ -24,29 +25,43 @@ func OutputContainsErr() Predicate {
 // at least one concrete value different from want.
 func HaltedOutputOtherThan(want int64) Predicate {
 	return Predicate{
-		Name: fmt.Sprintf("halted with single output != %d", want),
+		resultOnly: true,
+		Name:       fmt.Sprintf("halted with single output != %d", want),
 		Match: func(s *symexec.State) bool {
 			if s.Outcome() != symexec.OutcomeNormal {
 				return false
 			}
-			vals := s.OutputValues()
-			if len(vals) != 1 {
-				return len(vals) > 0 // printed extra/missing values: incorrect
+			n, last := printedValues(s)
+			if n != 1 {
+				return n > 0 // printed extra/missing values: incorrect
 			}
-			if vals[0].IsErr() {
+			if last.IsErr() {
 				return true
 			}
-			v, _ := vals[0].Concrete()
+			v, _ := last.Concrete()
 			return v != want
 		},
 	}
+}
+
+// printedValues counts the values s printed (string literals aside) and
+// returns the last of them, without building OutputValues' slice.
+func printedValues(s *symexec.State) (n int, last isa.Value) {
+	for _, o := range s.Out {
+		if !o.IsStr {
+			n++
+			last = o.Val
+		}
+	}
+	return n, last
 }
 
 // HaltedOutputEquals matches runs that halted normally printing exactly the
 // given concrete values.
 func HaltedOutputEquals(want ...int64) Predicate {
 	return Predicate{
-		Name: fmt.Sprintf("halted with output %v", want),
+		resultOnly: true,
+		Name:       fmt.Sprintf("halted with output %v", want),
 		Match: func(s *symexec.State) bool {
 			if s.Outcome() != symexec.OutcomeNormal {
 				return false
@@ -72,7 +87,8 @@ func HaltedOutputEquals(want ...int64) Predicate {
 // concrete incorrect rendering.
 func IncorrectOutput(expected string) Predicate {
 	return Predicate{
-		Name: "halted with incorrect output",
+		resultOnly: true,
+		Name:       "halted with incorrect output",
 		Match: func(s *symexec.State) bool {
 			return s.Outcome() == symexec.OutcomeNormal && s.OutputString() != expected
 		},
@@ -82,15 +98,17 @@ func IncorrectOutput(expected string) Predicate {
 // OutcomeIs matches terminal states with the given outcome.
 func OutcomeIs(o symexec.Outcome) Predicate {
 	return Predicate{
-		Name:  fmt.Sprintf("outcome %s", o),
-		Match: func(s *symexec.State) bool { return s.Outcome() == o },
+		resultOnly: true,
+		Name:       fmt.Sprintf("outcome %s", o),
+		Match:      func(s *symexec.State) bool { return s.Outcome() == o },
 	}
 }
 
 // ExceptionOfKind matches states terminated by the given exception kind.
 func ExceptionOfKind(k isa.ExceptionKind) Predicate {
 	return Predicate{
-		Name: fmt.Sprintf("exception %s", k),
+		resultOnly: true,
+		Name:       fmt.Sprintf("exception %s", k),
 		Match: func(s *symexec.State) bool {
 			return s.Exc != nil && s.Exc.Kind == k
 		},
@@ -101,7 +119,8 @@ func ExceptionOfKind(k isa.ExceptionKind) Predicate {
 // the error evaded detection (the framework's headline question).
 func Undetected(p Predicate) Predicate {
 	return Predicate{
-		Name: p.Name + " and undetected",
+		resultOnly: p.resultOnly,
+		Name:       p.Name + " and undetected",
 		Match: func(s *symexec.State) bool {
 			return s.Outcome() != symexec.OutcomeDetected && p.Match(s)
 		},
@@ -118,7 +137,8 @@ func Any(ps ...Predicate) Predicate {
 		name += p.Name
 	}
 	return Predicate{
-		Name: name,
+		resultOnly: allResultOnly(ps),
+		Name:       name,
 		Match: func(s *symexec.State) bool {
 			for _, p := range ps {
 				if p.Match(s) {
@@ -140,7 +160,8 @@ func All(ps ...Predicate) Predicate {
 		name += p.Name
 	}
 	return Predicate{
-		Name: name,
+		resultOnly: allResultOnly(ps),
+		Name:       name,
 		Match: func(s *symexec.State) bool {
 			for _, p := range ps {
 				if !p.Match(s) {
@@ -150,4 +171,15 @@ func All(ps ...Predicate) Predicate {
 			return true
 		},
 	}
+}
+
+// allResultOnly reports whether every predicate of ps reads only a terminal
+// state's result.
+func allResultOnly(ps []Predicate) bool {
+	for _, p := range ps {
+		if !p.resultOnly {
+			return false
+		}
+	}
+	return true
 }

@@ -99,8 +99,8 @@ func exploreStepwise(ctx context.Context, spec Spec, inj faults.Injection) (Inje
 
 // exploreBoth explores inj with the checker and with exploreStepwise, and
 // fails t unless the two injection reports are identical: every tally,
-// BudgetExhausted, Exec, and every finding with its trace and terminal
-// state.
+// BudgetExhausted, Exec, and every finding with its trace and, unless
+// DiscardStates dropped it, its terminal state.
 func exploreBoth(t *testing.T, spec Spec, inj faults.Injection) InjectionReport {
 	t.Helper()
 	want, werr := exploreStepwise(context.Background(), spec, inj)
@@ -116,6 +116,12 @@ func exploreBoth(t *testing.T, spec Spec, inj faults.Injection) InjectionReport 
 	}
 	for i, f := range got.Findings {
 		g, w := f.State, want.Findings[i].State
+		if (g == nil) != (w == nil) {
+			t.Fatalf("%v, budget %d: finding %d keeps state %v, stepwise %v", inj, spec.StateBudget, i, g != nil, w != nil)
+		}
+		if g == nil {
+			continue // DiscardStates
+		}
 		if g.Key() != w.Key() || !reflect.DeepEqual(g.Exc, w.Exc) || g.Trace.Render() != w.Trace.Render() {
 			t.Fatalf("%v, budget %d: finding %d's state drifted\n got %s %+v\nwant %s %+v",
 				inj, spec.StateBudget, i, g.Key(), g.Exc, w.Key(), w.Exc)
@@ -214,44 +220,71 @@ func TestConcreteTailExactAtEveryBudget(t *testing.T) {
 // FuzzConcreteTail: random programs (internal/fuzzprog) with one register
 // injection, transient or stuck-at, explored with the concrete hand-off and
 // stepwise, must yield identical injection reports at any budget, with and
-// without deduplication and fan-out caps.
+// without deduplication and fan-out caps. knobs picks the rest of the spec:
+// bit 0 a library predicate, which the explorer hands a jr fan-out's scratch
+// children unbuilt, instead of anyTerminal, which makes it build each one;
+// bit 1 DiscardStates; bits 2-3 MaxFindings (0, 1, 2 or 5).
 func FuzzConcreteTail(f *testing.F) {
-	f.Add([]byte{}, uint16(0), uint8(0), uint8(0))
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, uint16(300), uint8(3), uint8(0))
-	f.Add([]byte{8, 11, 9, 15, 19, 39, 14, 9}, uint16(2_000), uint8(1), uint8(0))
-	f.Add([]byte{8, 13, 14, 16, 9, 17, 18, 17}, uint16(77), uint8(6), uint8(5))
-	f.Add([]byte{8, 12, 15, 19, 59, 0, 79}, uint16(999), uint8(9), uint8(0))
-	f.Add([]byte{13, 8, 17, 9, 18, 13, 14}, uint16(4_000), uint8(2), uint8(2))
-	f.Add([]byte("90001000"), uint16(77), uint8(6), uint8(5))    // a capped fan-out's tail
-	f.Add([]byte("A0bA1AB901"), uint16(300), uint8(3), uint8(0)) // a tail's jr out of the program
-	f.Add([]byte("00B0011c"), uint16(375), uint8(3), uint8('4')) // a CHECK in a tail
+	f.Add([]byte{}, uint16(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, uint16(300), uint8(3), uint8(0), uint8(0))
+	f.Add([]byte{8, 11, 9, 15, 19, 39, 14, 9}, uint16(2_000), uint8(1), uint8(0), uint8(0))
+	f.Add([]byte{8, 13, 14, 16, 9, 17, 18, 17}, uint16(77), uint8(6), uint8(5), uint8(0))
+	f.Add([]byte{8, 12, 15, 19, 59, 0, 79}, uint16(999), uint8(9), uint8(0), uint8(0))
+	f.Add([]byte{13, 8, 17, 9, 18, 13, 14}, uint16(4_000), uint8(2), uint8(2), uint8(0))
+	f.Add([]byte("90001000"), uint16(77), uint8(6), uint8(5), uint8(0))    // a capped fan-out's tail
+	f.Add([]byte("A0bA1AB901"), uint16(300), uint8(3), uint8(0), uint8(0)) // a tail's jr out of the program
+	f.Add([]byte("00B0011c"), uint16(375), uint8(3), uint8('4'), uint8(0)) // a CHECK in a tail
 	// Tails the machine's cycle accelerator skips, run to the end and cut
 	// off by the budget inside the skipped laps: an exact spin and an
 	// affine counter lap.
-	f.Add([]byte("\x1b&\x1b#\x06\x00\x02\x14"), uint16(4_999), uint8(83), uint8(0))
-	f.Add([]byte("\x1b&\x1b#\x06\x00\x02\x14"), uint16(150), uint8(83), uint8(0))
-	f.Add([]byte("#\x00\x05\x0f\r$"), uint16(4_999), uint8(66), uint8(0))
-	f.Add([]byte("#\x00\x05\x0f\r$"), uint16(200), uint8(66), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, budget uint16, pick, caps uint8) {
-		prog, dets := fuzzprog.Program(data)
-		exec := symexec.DefaultOptions()
-		exec.Watchdog = 300
-		exec.MaxControlTargets = int(caps % 4)
-		exec.MaxMemTargets = int(caps>>2) % 4
-		spec := Spec{
-			Program:     prog,
-			Detectors:   dets,
-			Input:       fuzzprog.Input,
-			Exec:        exec,
-			Predicate:   anyTerminal,
-			StateBudget: 1 + int(budget)%5_000,
-			Dedup:       pick&1 != 0,
-		}
-		inj := regInj(int(pick>>3)%prog.Len(), isa.Reg(1+int(pick>>1)%5))
-		inj.Permanent = pick&0x80 != 0
+	f.Add([]byte("\x1b&\x1b#\x06\x00\x02\x14"), uint16(4_999), uint8(83), uint8(0), uint8(0))
+	f.Add([]byte("\x1b&\x1b#\x06\x00\x02\x14"), uint16(150), uint8(83), uint8(0), uint8(0))
+	f.Add([]byte("#\x00\x05\x0f\r$"), uint16(4_999), uint8(66), uint8(0), uint8(0))
+	f.Add([]byte("#\x00\x05\x0f\r$"), uint16(200), uint8(66), uint8(0), uint8(0))
+	// A jr fan-out run in place under a library predicate: cut off by the
+	// budget after its first children, with and without DiscardStates; and
+	// run to the end while MaxFindings 1 (then 2, discarding states) stops
+	// keeping its matching children partway.
+	f.Add([]byte("\xed\x12\xb4W)\x98\x8e/fN"), uint16(312), uint8(6), uint8(0), uint8(1))
+	f.Add([]byte("\xed\x12\xb4W)\x98\x8e/fN"), uint16(312), uint8(6), uint8(0), uint8(3))
+	f.Add([]byte("Z\xff\xa10\xa1M\x95s\x9a"), uint16(4_999), uint8(90), uint8(0), uint8(5))
+	f.Add([]byte("\x02\xdb\a\x11\xef\xa3\x1e}b]\x92"), uint16(4_999), uint8(102), uint8(0), uint8(11))
+	f.Fuzz(func(t *testing.T, data []byte, budget uint16, pick, caps, knobs uint8) {
+		spec, inj := fuzzTailCase(data, budget, pick, caps, knobs)
 		exploreBoth(t, spec, inj)
 	})
 }
+
+// fuzzTailCase decodes one FuzzConcreteTail input into a search.
+func fuzzTailCase(data []byte, budget uint16, pick, caps, knobs uint8) (Spec, faults.Injection) {
+	prog, dets := fuzzprog.Program(data)
+	exec := symexec.DefaultOptions()
+	exec.Watchdog = 300
+	exec.MaxControlTargets = int(caps % 4)
+	exec.MaxMemTargets = int(caps>>2) % 4
+	spec := Spec{
+		Program:       prog,
+		Detectors:     dets,
+		Input:         fuzzprog.Input,
+		Exec:          exec,
+		Predicate:     anyTerminal,
+		StateBudget:   1 + int(budget)%5_000,
+		Dedup:         pick&1 != 0,
+		DiscardStates: knobs&2 != 0,
+		MaxFindings:   []int{0, 1, 2, 5}[knobs>>2&3],
+	}
+	if knobs&1 != 0 {
+		spec.Predicate = fuzzLibraryPredicate
+	}
+	inj := regInj(int(pick>>3)%prog.Len(), isa.Reg(1+int(pick>>1)%5))
+	inj.Permanent = pick&0x80 != 0
+	return spec, inj
+}
+
+// fuzzLibraryPredicate is a result-only library predicate that keeps some
+// terminals and drops others, composed so the mark must survive Undetected
+// and Any.
+var fuzzLibraryPredicate = Undetected(Any(OutcomeIs(symexec.OutcomeHang), HaltedOutputOtherThan(0)))
 
 // TestConcreteTailCounter: the live symplfied_concrete_tail_states_total
 // counter moves during a plain tcas sweep, by no more than the states the

@@ -129,11 +129,17 @@ func (m *Memory) own() {
 		m.slots = make([]memSlot, size)
 	}
 	m.shared = false
+	m.rehash(old)
+}
+
+// rehash sets the shift for m's (cleared) table and inserts the words of
+// old into it.
+func (m *Memory) rehash(old []memSlot) {
 	m.shift = 64
-	for s := size; s > 1; s >>= 1 {
+	for s := len(m.slots); s > 1; s >>= 1 {
 		m.shift--
 	}
-	mask := size - 1
+	mask := len(m.slots) - 1
 	for j := range old {
 		if old[j].tag == slotEmpty {
 			continue
@@ -175,6 +181,28 @@ func (m *Memory) CopyFrom(src *Memory) {
 	copy(m.slots, src.slots)
 	m.shift = src.shift
 	m.n = src.n
+}
+
+// Refill makes m an independent copy of src, like CopyFrom, for a scratch
+// image refilled from one source after another: once a run on m has grown
+// its table, m keeps the room, and takes src's words into a table of twice
+// src's size by rehashing, so later runs that define no more words than
+// that allocate nothing. Twice and no more: a refill clears the whole
+// table, and one run that defined thousands of words must not make every
+// later refill pay for them.
+func (m *Memory) Refill(src *Memory) {
+	size := len(src.slots)
+	if !m.shared && size > 0 && 2*size <= cap(m.slots) {
+		size *= 2
+	}
+	if size == len(src.slots) {
+		m.CopyFrom(src)
+		return
+	}
+	m.slots = m.slots[:size]
+	clear(m.slots)
+	m.n = src.n
+	m.rehash(src.slots)
 }
 
 // Equal reports whether m and o define the same words with the same values.

@@ -122,7 +122,46 @@ func TestMemCloneCopiesOnFirstWrite(t *testing.T) {
 	}
 }
 
-// FuzzMemoryImage runs random Store/Load/CopyFrom/Clone sequences against a
+// TestMemRefillKeepsRoom: a scratch image refilled from a small source
+// keeps room for the words an earlier run defined beyond it, up to twice the
+// source's table, holds exactly the source's words, and never shows its
+// stores in the source; a run that defined many more words leaves no larger
+// table behind.
+func TestMemRefillKeepsRoom(t *testing.T) {
+	var src, scratch Memory
+	for a := int64(0); a < 10; a++ {
+		src.Store(a, Int(a))
+	}
+	define := func(words int) {
+		for a := int64(100); a < 100+int64(words); a++ {
+			scratch.Store(a, Int(-a))
+		}
+	}
+	room := 3*len(src.slots)/2 - src.Len() // fills twice src's table to 3/4
+	run := func() {
+		scratch.Refill(&src)
+		define(room)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("a refilled run that defines no more words allocates %.0f times", allocs)
+	}
+	scratch.Refill(&src)
+	define(20 * minMemSlots)
+	scratch.Refill(&src)
+	if len(scratch.slots) != 2*len(src.slots) {
+		t.Errorf("refill into %d slots, want twice the source's %d", len(scratch.slots), len(src.slots))
+	}
+	ref := map[int64]Value{}
+	src.Range(func(a int64, v Value) bool { ref[a] = v; return true })
+	checkImage(t, &scratch, ref)
+	scratch.Store(3, Err())
+	if v, _ := src.Load(3); !v.Equal(Int(3)) {
+		t.Errorf("a store into the refilled image showed in its source: %v", v)
+	}
+}
+
+// FuzzMemoryImage runs random Store/Load/CopyFrom/Refill/Clone sequences against a
 // map reference. Each three-byte operation picks an image, an address
 // (small, negative, or extreme, so probes wrap and collide) and a value.
 // After every step each image must agree with its reference at the address
@@ -187,9 +226,13 @@ func FuzzMemoryImage(f *testing.F) {
 					mems[j] = mems[i].Clone()
 					refs[j] = copyRef(refs[i])
 				}
-			case 3: // copy
+			case 3: // copy, or refill a scratch image
 				if i != j {
-					mems[j].CopyFrom(&mems[i])
+					if v&1 != 0 {
+						mems[j].Refill(&mems[i])
+					} else {
+						mems[j].CopyFrom(&mems[i])
+					}
 					refs[j] = copyRef(refs[i])
 				}
 			}

@@ -148,6 +148,14 @@ type Machine struct {
 	// cycle checkpoint, allocated at the first one and kept for later tails.
 	stores int
 	cp     *tailCheckpoint
+	// excBuf, set by RunTail from Image.ExcBuf, is where raise writes the
+	// exception instead of allocating one.
+	excBuf *isa.Exception
+	// timeoutDetail caches the watchdog exception's detail, which names
+	// the step count timeoutSteps: every hang of a run raises at the same
+	// count, so its hangs share one string.
+	timeoutDetail string
+	timeoutSteps  int
 }
 
 // New creates a machine for prog with the given input stream.
@@ -402,6 +410,11 @@ func sameInput(a, b []isa.Value) bool {
 
 func (m *Machine) raise(kind isa.ExceptionKind, detail string) {
 	m.status = StatusExcepted
+	if m.excBuf != nil {
+		*m.excBuf = isa.Exception{Kind: kind, PC: m.pc, Detail: detail}
+		m.exc = m.excBuf
+		return
+	}
 	m.exc = &isa.Exception{Kind: kind, PC: m.pc, Detail: detail}
 }
 
@@ -470,7 +483,11 @@ func (m *Machine) watchdogExpired() bool {
 	if m.steps < m.watchdog {
 		return false
 	}
-	m.raise(isa.ExcTimeout, "watchdog after "+strconv.Itoa(m.steps)+" instructions")
+	if m.timeoutDetail == "" || m.timeoutSteps != m.steps {
+		m.timeoutDetail = "watchdog after " + strconv.Itoa(m.steps) + " instructions"
+		m.timeoutSteps = m.steps
+	}
+	m.raise(isa.ExcTimeout, m.timeoutDetail)
 	return true
 }
 
@@ -487,6 +504,10 @@ type Image struct {
 	Steps  int
 	Status Status
 	Exc    *isa.Exception
+	// ExcBuf, when set, is where RunTail writes an exception, so Exc
+	// points to it, instead of allocating one: for a caller that reads
+	// the exception before its next RunTail with the same buffer.
+	ExcBuf *isa.Exception
 }
 
 // RunTail runs the running image img on m, with prog and watchdog, and
@@ -516,7 +537,7 @@ func (m *Machine) RunTail(prog *isa.Program, watchdog int, img *Image, limit int
 	m.pc, m.regs, m.in, m.inPos, m.steps = img.PC, img.Regs, img.In, img.InPos, img.Steps
 	m.mem, img.Mem = img.Mem, isa.Memory{}
 	m.out, img.Out = img.Out, nil
-	m.status, m.exc, m.tail = StatusRunning, nil, true
+	m.status, m.exc, m.tail, m.excBuf = StatusRunning, nil, true, img.ExcBuf
 	end := min(limit, m.watchdog)
 	start, next := m.steps, m.steps+CycleCheckpointStart
 	armed, misses := false, 0
@@ -548,6 +569,7 @@ func (m *Machine) RunTail(prog *isa.Program, watchdog int, img *Image, limit int
 		}
 	}
 	img.PC, img.Regs, img.InPos, img.Steps, img.Status, img.Exc = m.pc, m.regs, m.inPos, m.steps, m.status, m.exc
+	m.excBuf = nil
 	img.Mem, m.mem = m.mem, isa.Memory{}
 	img.Out, m.out = m.out, nil
 	return skipped

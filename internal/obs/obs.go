@@ -47,6 +47,9 @@ const (
 	// and the part of them the machine's cycle accelerator skipped.
 	MConcreteTail        = "symplfied_concrete_tail_states_total"
 	MConcreteTailSkipped = "symplfied_concrete_tail_skipped_steps_total"
+	// Control fan-out children (a jr through an erroneous target) by how the
+	// explorer ran them: in a reused scratch state, or built as a state.
+	MControlTargets = "symplfied_control_targets_total" // label path: in_place|materialized
 	// Concrete campaign trials (internal/simplescalar) answered from the
 	// fault-free run by a masking proof instead of run to their end.
 	MConcreteAnswered = "symplfied_concrete_trials_answered_total" // label shortcut: unreached|same-value|converged

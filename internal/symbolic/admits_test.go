@@ -129,3 +129,87 @@ func TestAdmitsEqCases(t *testing.T) {
 		}
 	}
 }
+
+// TestPinnedMatchesConstrainThenConcretize checks the read-only pin against
+// its reference on random stores whose terms are over one root: on a clone,
+// ConstrainTerm(t, CmpEq, v) and then ConcretizeRoot. Where the equality is
+// admitted, Pinned reports whether the reference left no term, and when it
+// did, it names the locations and values the reference concretized. A
+// store with a term over another root, or a relation, is not SoleRoot.
+func TestPinnedMatchesConstrainThenConcretize(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	coeffs := []int64{1, -1, 2, -3, 1 << 40, maxInt64}
+	offsets := []int64{0, 4, -9, maxInt64, minInt64 + 2}
+	pinned := 0
+	for iter := 0; iter < 20000; iter++ {
+		s := NewStore()
+		root := s.NewRoot()
+		other := s.NewRoot()
+		pickTerm := func() Term {
+			return Term{Root: root, Coeff: coeffs[r.Intn(len(coeffs))], Off: offsets[r.Intn(len(offsets))]}
+		}
+		t0 := pickTerm()
+		if r.Intn(3) == 0 {
+			t0 = FreshTerm(root)
+		}
+		s.SetTerm(isa.RegLoc(31), t0)
+		for n := r.Intn(3); n > 0; n-- {
+			s.SetTerm(isa.MemLoc(int64(100+n)), pickTerm())
+		}
+		if r.Intn(4) == 0 {
+			s.ConstrainRoot(root, isa.CmpGe, int64(r.Intn(9)-4))
+		}
+		if r.Intn(4) == 0 {
+			s.ConstrainRoot(other, isa.CmpNe, 3) // another root, constrained but holding no term
+		}
+		sole := true
+		switch r.Intn(8) {
+		case 0:
+			s.SetTerm(isa.RegLoc(7), FreshTerm(other))
+			sole = false
+		case 1:
+			s.AddRel(FreshTerm(root), isa.CmpLt, FreshTerm(other))
+			sole = false
+		}
+		if s.SoleRoot(root) != sole {
+			t.Fatalf("store %s: SoleRoot = %v, want %v", s.Describe(), !sole, sole)
+		}
+		if !sole {
+			continue
+		}
+		v := int64(r.Intn(41) - 20)
+		if !s.AdmitsEq(t0, v) {
+			continue
+		}
+		before := s.Key()
+		got := map[isa.Loc]int64{}
+		ok := s.Pinned(t0, v, func(loc isa.Loc, x int64) { got[loc] = x })
+		if s.Key() != before {
+			t.Fatalf("Pinned changed the store: %s -> %s", before, s.Key())
+		}
+		ref := s.Clone()
+		if !ref.ConstrainTerm(t0, isa.CmpEq, v) {
+			t.Fatalf("%s: admitted %v == %d, but constraining it failed", before, t0, v)
+		}
+		want := map[isa.Loc]int64{}
+		ref.ConcretizeRoot(root, func(loc isa.Loc, x int64) { want[loc] = x })
+		if ok != !ref.HasTerms() {
+			t.Fatalf("%s, %v == %d: Pinned %v, reference leaves terms %v", before, t0, v, ok, ref.HasTerms())
+		}
+		if !ok {
+			continue
+		}
+		pinned++
+		if len(got) != len(want) {
+			t.Fatalf("%s, %v == %d: pinned %v, reference %v", before, t0, v, got, want)
+		}
+		for loc, x := range want {
+			if got[loc] != x {
+				t.Fatalf("%s, %v == %d: pinned %v, reference %v", before, t0, v, got, want)
+			}
+		}
+	}
+	if pinned < 1000 {
+		t.Fatalf("only %d admitted pins left no err", pinned)
+	}
+}

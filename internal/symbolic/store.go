@@ -367,6 +367,47 @@ func (s *Store) AdmitsEq(t Term, v int64) bool {
 	return c.Admits(rootVal)
 }
 
+// SoleRoot reports whether every location holding err holds a term over r
+// and no relation between roots is recorded: pinning r then leaves no err
+// anywhere (see Pinned), whatever other roots the store still constrains.
+func (s *Store) SoleRoot(r RootID) bool {
+	if len(s.rels) > 0 {
+		return false
+	}
+	for _, lt := range s.terms {
+		if lt.term.Root != r {
+			return false
+		}
+	}
+	return true
+}
+
+// Pinned calls set with every location holding err and the value it takes
+// once "t == v" pins t's root, reading the store only: the read-only twin of
+// ConstrainTerm(t, CmpEq, v) followed by ConcretizeRoot on a clone, for a
+// store whose terms are all over t's root (SoleRoot) and that admits the
+// equality (AdmitsEq). It returns false when that would leave err somewhere:
+// the equality pins nothing (it is a tautology or unsatisfiable), or a
+// location's value overflows; set may then have been called for some
+// locations.
+func (s *Store) Pinned(t Term, v int64, set func(loc isa.Loc, v int64)) bool {
+	_, root, tautology, ok := t.InvertCmp(isa.CmpEq, v)
+	if !ok || tautology {
+		return false
+	}
+	for _, lt := range s.terms {
+		if lt.term.Root != t.Root {
+			return false
+		}
+		x, ok := lt.term.at(root)
+		if !ok {
+			return false
+		}
+		set(lt.loc, x)
+	}
+	return true
+}
+
 // ExactValue reports whether the constraints pin t to a single concrete
 // value, enabling the executor to concretize the location.
 func (s *Store) ExactValue(t Term) (int64, bool) {

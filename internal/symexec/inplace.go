@@ -200,20 +200,21 @@ func (s *State) ErrFree() bool { return !s.Sym.HasTerms() && len(s.Stuck) == 0 }
 // returns no states, leaving s as it was, when the next step would execute a
 // CHECK: the machine stops before every CHECK, so StepInPlace runs the
 // detector and its pass and firing notes come from the symbolic step alone.
+// On a scratch child the halt or exception note waits for Materialize, and
+// the exception is written into the Scratch's buffer.
 // The memory image and output stream move into m and back, so a memory
 // table shared with a clone stays shared until the machine stores to it.
 func (s *State) RunConcrete(m *machine.Machine, maxStates int) (states, skipped int) {
 	img := machine.Image{PC: s.PC, Regs: s.Regs, Mem: s.Mem, In: s.In, InPos: s.InPos, Out: s.Out, Steps: s.Steps}
+	if s.scratch != nil {
+		img.ExcBuf = &s.scratch.exc
+	}
 	from := s.Steps
 	skipped = m.RunTail(s.Prog, s.Opts.Watchdog, &img, from+maxStates)
 	s.PC, s.Regs, s.Mem, s.InPos, s.Out = img.PC, img.Regs, img.Mem, img.InPos, img.Out
 	s.Steps, s.Status, s.Exc = img.Steps, img.Status, img.Exc
 	states = s.Steps - from
-	switch s.Status {
-	case machine.StatusHalted:
-		s.note(trace.KindHalt, trace.Halt(s.Out))
-	case machine.StatusExcepted:
-		s.note(trace.KindException, trace.Exception(s.Exc))
+	if s.Status == machine.StatusExcepted {
 		if s.Exc.Kind == isa.ExcTimeout {
 			s.Stats.CountWatchdog()
 			states++
@@ -221,7 +222,22 @@ func (s *State) RunConcrete(m *machine.Machine, maxStates int) (states, skipped 
 			states++
 		}
 	}
+	if s.scratch == nil {
+		s.noteStop()
+	}
 	return states, skipped
+}
+
+// noteStop notes how a tail stopped, if it did: the halt or the exception.
+// A scratch child (ControlFan.Next) defers the note to Materialize, so a
+// child that terminates unkept never builds it.
+func (s *State) noteStop() {
+	switch s.Status {
+	case machine.StatusHalted:
+		s.note(trace.KindHalt, trace.Halt(s.Out))
+	case machine.StatusExcepted:
+		s.note(trace.KindException, trace.Exception(s.Exc))
+	}
 }
 
 // concreteOperands reads the two operands of an arithmetic, comparison-set

@@ -99,12 +99,17 @@ type State struct {
 	// not in Options: Options participates in the campaign fingerprint,
 	// and a pointer there would hash its address.
 	Stats *obs.ExecStats
+
+	// scratch is set while the state is a Scratch's in-place child of a
+	// control fan-out (ControlFan.Next): it stands for a child Materialize
+	// has not built yet. Clone does not copy it.
+	scratch *Scratch
 }
 
 // NewState builds an initial symbolic state at PC 0 with the given input.
 func NewState(prog *isa.Program, dets *detector.Table, input []int64, opts Options) *State {
 	if dets == nil {
-		dets = detector.EmptyTable()
+		dets = noDetectors
 	}
 	if opts.Watchdog <= 0 {
 		opts.Watchdog = machine.DefaultWatchdog
@@ -123,6 +128,10 @@ func NewState(prog *isa.Program, dets *detector.Table, input []int64, opts Optio
 	}
 }
 
+// noDetectors is the detector table of a state given none. Tables are
+// read-only once built, so every such state shares this one.
+var noDetectors = detector.EmptyTable()
+
 // FromMachine lifts a concrete machine's current state into a symbolic state,
 // used by the checker after concretely executing the prefix up to the
 // injection breakpoint (the paper's optimization of injecting just before the
@@ -131,7 +140,7 @@ func NewState(prog *isa.Program, dets *detector.Table, input []int64, opts Optio
 // run on, and shares the machine's unread input.
 func FromMachine(m *machine.Machine, dets *detector.Table, opts Options) *State {
 	if dets == nil {
-		dets = detector.EmptyTable()
+		dets = noDetectors
 	}
 	if opts.Watchdog <= 0 {
 		opts.Watchdog = machine.DefaultWatchdog

@@ -17,7 +17,8 @@ import (
 // successor: a clone advanced by StepInPlace. A step whose outcome depends
 // on an erroneous value yields one successor per nondeterministic
 // resolution, with path constraints recorded and unsatisfiable resolutions
-// pruned (the false-positive elimination of Section 5.2).
+// pruned (the false-positive elimination of Section 5.2). Every successor
+// is built now; ControlFanout offers a jr's fan-out as a cursor instead.
 func (s *State) Successors() []*State {
 	if !s.Running() {
 		return nil
@@ -420,7 +421,8 @@ func (s *State) forkStore(op *isa.Lowered) []*State {
 
 // forkJr resolves a jump through an erroneous target (Section 5.2): "the
 // program either jumps to an arbitrary (but valid) code location or throws
-// an illegal instruction exception".
+// an illegal instruction exception". ControlFanout is the same fan-out as a
+// cursor that builds one child at a time.
 func (s *State) forkJr(op *isa.Lowered) []*State {
 	target := s.regOperand(op.Rs)
 	var out []*State
@@ -435,26 +437,37 @@ func (s *State) forkJr(op *isa.Lowered) []*State {
 			s.Stats.CountPrune()
 			continue
 		}
-		c := s.fork()
-		if !c.constrainOperand(target, isa.CmpEq, int64(pc), trace.Reason("control target resolves")) {
-			s.Stats.CountPrune()
-			continue
-		}
-		c.note(trace.KindControl, trace.Control(s.Prog, pc))
-		c.PC = pc
-		c.Truncated = truncated
-		out = append(out, c)
+		out = append(out, s.jrTarget(target, pc, truncated))
 	}
-	exc := s.fork()
-	exc.note(trace.KindFork, trace.Text("erroneous control target: assume invalid code address"))
-	exc.raise(isa.ExcIllegalInstr, "jump through erroneous target")
-	exc.Truncated = truncated
-	out = append(out, exc)
+	out = append(out, s.jrInvalid(truncated))
 	if truncated {
 		s.Stats.CountFanout()
 	}
 	s.countFan(obs.ForkControl, len(out))
 	return out
+}
+
+// jrTarget is the child of s's jr through the erroneous target that jumps to
+// pc, which feasibleEq admits: the target pinned to pc, with its constraint
+// and control notes.
+func (s *State) jrTarget(target symbolic.Operand, pc int, truncated bool) *State {
+	c := s.fork()
+	// feasibleEq admitted pc, and pinning a root it admits never fails.
+	c.constrainOperand(target, isa.CmpEq, int64(pc), trace.Reason("control target resolves"))
+	c.note(trace.KindControl, trace.Control(s.Prog, pc))
+	c.PC = pc
+	c.Truncated = truncated
+	return c
+}
+
+// jrInvalid is the child of s's jr through the erroneous target that
+// assumes an invalid code address and raises.
+func (s *State) jrInvalid(truncated bool) *State {
+	exc := s.fork()
+	exc.note(trace.KindFork, trace.Text("erroneous control target: assume invalid code address"))
+	exc.raise(isa.ExcIllegalInstr, "jump through erroneous target")
+	exc.Truncated = truncated
+	return exc
 }
 
 func (s *State) forkCheck(det *detector.Detector, target, expr symbolic.Operand) []*State {
