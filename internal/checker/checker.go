@@ -1,11 +1,12 @@
 // Package checker implements SymPLFIED's bounded model checker (paper
 // Section 5.4): the analogue of Maude's search command. For each injection in
 // a fault class it concretely executes the program up to the injection
-// breakpoint (the paper's activation optimization), manifests the symbolic
-// error, then exhaustively explores the nondeterministic successor relation
-// breadth-first, classifying every terminal state and collecting those that
-// satisfy the user predicate ("errors that evade detection and potentially
-// lead to program failure").
+// breakpoint (the paper's activation optimization; prefix.go answers the
+// injections the fault-free run never reaches from one recorded run per
+// input), manifests the symbolic error, then exhaustively explores the
+// nondeterministic successor relation breadth-first, classifying every
+// terminal state and collecting those that satisfy the user predicate
+// ("errors that evade detection and potentially lead to program failure").
 //
 // Most of a search's states hold no err at all: a store overwrote it, a
 // constraint pinned it to one value, a jump through it resolved. The plain
@@ -18,12 +19,13 @@
 // one state per executed or skipped instruction, plus one for a raise that
 // executes none, so a budget cuts off at the same state and reports do not
 // change by a byte. The machine skips the laps of a hang it can prove
-// repeat — an exact recurrence, or an affine register map under the proof
-// the merged explorer's accelerator uses too (machine.AffineLapOK) — and
-// the skipped steps count as states as if they had run. The machine stops
-// before every CHECK, which the symbolic step runs. The merged explorer
-// steps symbolically throughout: its states park at post-dominators, which
-// a concrete tail would run past.
+// repeat — an exact recurrence, an affine register map under the proof the
+// merged explorer's accelerator uses too (machine.AffineLapOK), or a lap
+// that stores, such as the stack walk behind a corrupted return address
+// (RunTail's store-lap gear) — and the skipped steps count as states as if
+// they had run. The machine stops before every CHECK, which the symbolic
+// step runs. The merged explorer steps symbolically throughout: its states
+// park at post-dominators, which a concrete tail would run past.
 //
 // A jump through an erroneous target forks to every valid code address
 // (paper Section 5.2), and pinning the target usually leaves each child
@@ -72,16 +74,17 @@ import (
 // -metrics-addr scrapes and the -progress line; the deterministic tallies
 // that travel inside reports live in InjectionReport.Exec instead.
 var (
-	liveStates       = obs.Default().Counter(obs.MStates)
-	liveFindings     = obs.Default().Counter(obs.MFindings)
-	liveFrontier     = obs.Default().Gauge(obs.MFrontier)
-	liveInjections   = obs.Default().Counter(obs.MInjections)
-	liveInjTimeouts  = obs.Default().Counter(obs.MInjTimeouts)
-	liveInjPanics    = obs.Default().Counter(obs.MInjPanics)
-	liveInternHits   = obs.Default().Gauge(obs.MInternHits)
-	liveInternMisses = obs.Default().Gauge(obs.MInternMisses)
-	liveTailStates   = obs.Default().Counter(obs.MConcreteTail)
-	liveTailSkipped  = obs.Default().Counter(obs.MConcreteTailSkipped)
+	liveStates        = obs.Default().Counter(obs.MStates)
+	liveFindings      = obs.Default().Counter(obs.MFindings)
+	liveFrontier      = obs.Default().Gauge(obs.MFrontier)
+	liveInjections    = obs.Default().Counter(obs.MInjections)
+	liveInjTimeouts   = obs.Default().Counter(obs.MInjTimeouts)
+	liveInjPanics     = obs.Default().Counter(obs.MInjPanics)
+	liveInternHits    = obs.Default().Gauge(obs.MInternHits)
+	liveInternMisses  = obs.Default().Gauge(obs.MInternMisses)
+	liveTailStates    = obs.Default().Counter(obs.MConcreteTail)
+	liveTailSkipped   = obs.Default().Counter(obs.MConcreteTailSkipped)
+	liveTailStoreLaps = obs.Default().Counter(obs.MConcreteTailStoreLaps)
 
 	liveTargetsInPlace      = obs.Default().Counter(obs.MControlTargets, obs.L("path", "in_place"))
 	liveTargetsMaterialized = obs.Default().Counter(obs.MControlTargets, obs.L("path", "materialized"))
@@ -716,17 +719,11 @@ func runInjectionReal(ctx context.Context, spec Spec, inj faults.Injection, publ
 func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *InjectionReport) error {
 	budget := spec.effectiveBudget()
 
-	// Concrete prefix up to the breakpoint.
-	m := machine.New(spec.Program, spec.Input, machine.Options{
-		Watchdog:  spec.Exec.Watchdog,
-		Detectors: spec.Detectors,
-	})
-	if !m.RunUntil(inj.PC, inj.Occurrence) {
+	st := prefixState(&spec, inj)
+	if st == nil {
 		return nil // fault never activated
 	}
 	ir.Activated = true
-
-	st := symexec.FromMachine(m, spec.Detectors, spec.Exec)
 	st.Stats = &ir.Exec // shared by every forked state in this search
 
 	initial, err := inj.Apply(st)
@@ -758,9 +755,15 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 	head, unborn := 0, 0
 	var scratch *symexec.Scratch
 	var inPlace, materialized int64
+	// Tails run on a pooled machine (prefix.go): RunTail sets every field
+	// it reads, so one left mid-tail by a panic serves the next search too.
+	m := tails.Get().(*machine.Machine)
+	storeLapSteps := m.StoreLapSteps()
 	defer func() {
 		liveTargetsInPlace.Add(inPlace)
 		liveTargetsMaterialized.Add(materialized)
+		liveTailStoreLaps.Add(int64(m.StoreLapSteps() - storeLapSteps))
+		tails.Put(m)
 	}()
 	resultOnly := spec.Predicate.resultOnly
 	// Visited states are keyed by a 64-bit incremental hash of the canonical
@@ -836,8 +839,6 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 				return nil
 			}
 			if handOff {
-				// FromMachine copied what it needed, so the prefix's
-				// machine is free to run the tails.
 				if n, skipped := cur.RunConcrete(m, min(budget-ir.StatesExplored, tailChunk)); n > 0 {
 					ir.StatesExplored += n
 					ir.Truncated = ir.Truncated || cur.Truncated

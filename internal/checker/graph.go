@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"symplfied/internal/faults"
-	"symplfied/internal/machine"
 	"symplfied/internal/symexec"
 )
 
@@ -53,14 +52,10 @@ func ExploreGraphCtx(ctx context.Context, spec Spec, inj faults.Injection, maxNo
 		maxNodes = 10_000
 	}
 
-	m := machine.New(spec.Program, spec.Input, machine.Options{
-		Watchdog:  spec.Exec.Watchdog,
-		Detectors: spec.Detectors,
-	})
-	if !m.RunUntil(inj.PC, inj.Occurrence) {
+	st := prefixState(&spec, inj)
+	if st == nil {
 		return nil, fmt.Errorf("checker: injection %s never activated", inj)
 	}
-	st := symexec.FromMachine(m, spec.Detectors, spec.Exec)
 	initial, err := inj.Apply(st)
 	if err != nil {
 		return nil, err

@@ -180,18 +180,13 @@ func (e *mentry) deferredAt(pc int) bool {
 func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection, ir *InjectionReport, mc *MergeContext) error {
 	budget := spec.effectiveBudget()
 
-	m := machine.New(spec.Program, spec.Input, machine.Options{
-		Watchdog:  spec.Exec.Watchdog,
-		Detectors: spec.Detectors,
-	})
-	if !m.RunUntil(inj.PC, inj.Occurrence) {
+	st := prefixState(&spec, inj)
+	if st == nil {
 		return nil // fault never activated
 	}
 	ir.Activated = true
 	ir.Merged = true
 	liveMerged.Inc()
-
-	st := symexec.FromMachine(m, spec.Detectors, spec.Exec)
 	st.Stats = &ir.Exec
 
 	initial, err := inj.Apply(st)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"symplfied/internal/apps/replace"
@@ -131,12 +132,13 @@ func exploreBoth(t *testing.T, spec Spec, inj faults.Injection) InjectionReport 
 }
 
 // TestConcreteTailExactAtEveryBudget: for one tcas injection, one replace
-// injection, a tail that jumps out of the program, two hangs whose laps the
-// machine skips (an exact spin and an affine counter) and every scenario of
-// TestTraceGolden (CHECK passes and firings, the watchdog, end of input,
-// undefined loads), exploring with the concrete hand-off yields exactly the
-// stepwise report at every state budget from 1 to the full state count, so
-// the budget cuts off at the same state, inside a skipped lap too.
+// injection, a tail that jumps out of the program, three hangs whose laps the
+// machine skips (an exact spin, an affine counter and tcas's stack walk) and
+// every scenario of TestTraceGolden (CHECK passes and firings, the watchdog,
+// end of input, undefined loads), exploring with the concrete hand-off
+// yields exactly the stepwise report at every state budget from 1 to the
+// full state count, so the budget cuts off at the same state, inside a
+// skipped lap too.
 func TestConcreteTailExactAtEveryBudget(t *testing.T) {
 	type search struct {
 		name string
@@ -185,8 +187,15 @@ func TestConcreteTailExactAtEveryBudget(t *testing.T) {
 		input: []int64{0},
 		inj:   []faults.Injection{regInj(1, 1)},
 	}
-	skipping := map[string]bool{spin.name: true, counter.name: true}
-	for _, sc := range append([]traceScenario{escape, spin, counter}, traceScenarios...) {
+	walk := traceScenario{
+		name:  "tcas stack walk",
+		src:   tcasStackWalk(),
+		input: []int64{0},
+		inj:   []faults.Injection{regInj(1, 1)},
+		exec:  func(o *symexec.Options) { o.Watchdog = 400 },
+	}
+	skipping := map[string]bool{spin.name: true, counter.name: true, walk.name: true}
+	for _, sc := range append([]traceScenario{escape, spin, counter, walk}, traceScenarios...) {
 		u := asm.MustParse(sc.name, sc.src)
 		exec := symexec.DefaultOptions()
 		exec.Watchdog = 200
@@ -200,10 +209,13 @@ func TestConcreteTailExactAtEveryBudget(t *testing.T) {
 		}
 	}
 	for _, s := range searches {
-		skipped := liveTailSkipped.Value()
+		skipped, storeLaps := liveTailSkipped.Value(), liveTailStoreLaps.Value()
 		full := exploreBoth(t, s.spec, s.inj)
 		if skipping[s.name] && liveTailSkipped.Value() == skipped {
 			t.Errorf("%s %v: the concrete tail skipped no steps", s.name, s.inj)
+		}
+		if s.name == walk.name && liveTailStoreLaps.Value() == storeLaps {
+			t.Errorf("%s %v: the store-lap gear skipped no steps", s.name, s.inj)
 		}
 		if full.BudgetExhausted || full.StatesExplored == 0 {
 			t.Fatalf("%s %v: %d states, budget exhausted %v", s.name, s.inj, full.StatesExplored, full.BudgetExhausted)
@@ -215,6 +227,31 @@ func TestConcreteTailExactAtEveryBudget(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tcasStackWalk is tcas with a prologue in front that, when its input reads
+// 3, defines tcas's globals from the upward input, sets up the stack and
+// returns into Non_Crossing_Biased_Climb just past its frame allocation,
+// as a corrupted $31 at that function's return does: each lap saves $31,
+// calls the leaf functions, reloads $31, frees a frame it never allocated
+// and returns to the same place, one frame further up the stack.
+func tcasStackWalk() string {
+	prologue := func(target int) string {
+		var b strings.Builder
+		b.WriteString("\tread $1\n\tbeqi $1 3 walk\n\thalt\nwalk:\tli $29 10000\n")
+		words := append(tcas.UpwardInput().Slice(), 400, 500, 640, 740)
+		for i, v := range words {
+			addr := tcas.GlobalBase + i
+			if i >= 12 {
+				addr = tcas.TableBase + i - 12
+			}
+			fmt.Fprintf(&b, "\tli $8 %d\n\tst $8 %d($0)\n", v, addr)
+		}
+		fmt.Fprintf(&b, "\tli $31 %d\n\tjr $31\n", target)
+		return b.String()
+	}
+	target := asm.MustParse("walk", prologue(0)+tcas.Source).Program.Labels["NCBC"] + 1
+	return prologue(target) + tcas.Source
 }
 
 // FuzzConcreteTail: random programs (internal/fuzzprog) with one register
@@ -249,6 +286,12 @@ func FuzzConcreteTail(f *testing.F) {
 	f.Add([]byte("\xed\x12\xb4W)\x98\x8e/fN"), uint16(312), uint8(6), uint8(0), uint8(3))
 	f.Add([]byte("Z\xff\xa10\xa1M\x95s\x9a"), uint16(4_999), uint8(90), uint8(0), uint8(5))
 	f.Add([]byte("\x02\xdb\a\x11\xef\xa3\x1e}b]\x92"), uint16(4_999), uint8(102), uint8(0), uint8(11))
+	// Tails whose stack-frame laps the store-lap gear skips, run to the end
+	// and cut off by the budget inside the skipped laps.
+	f.Add([]byte("\f\xc0\x05\x02\x11\r\xf1\xf0\x0f\x0f\xf2"), uint16(4_999), uint8(110), uint8(0), uint8(4))
+	f.Add([]byte("\f\xc0\x05\x02\x11\r\xf1\xf0\x0f\x0f\xf2"), uint16(1_500), uint8(110), uint8(0), uint8(4))
+	f.Add([]byte("s\x11\x05\x0f\xf0\xf0\xf2\xf1\xf1\x11\x02\xf1"), uint16(4_999), uint8(40), uint8(0), uint8(11))
+	f.Add([]byte("\x12\x0f\xf4\xf1\r\xf4\xf4\x02\xf4\xf2\xf2"), uint16(200), uint8(76), uint8(0), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, budget uint16, pick, caps, knobs uint8) {
 		spec, inj := fuzzTailCase(data, budget, pick, caps, knobs)
 		exploreBoth(t, spec, inj)
@@ -288,13 +331,15 @@ var fuzzLibraryPredicate = Undetected(Any(OutcomeIs(symexec.OutcomeHang), Halted
 
 // TestConcreteTailCounter: the live symplfied_concrete_tail_states_total
 // counter moves during a plain tcas sweep, by no more than the states the
-// sweep explored, and symplfied_concrete_tail_skipped_steps_total moves by
-// no more than the tail states: the sweep's hangs skip laps.
+// sweep explored, symplfied_concrete_tail_skipped_steps_total moves by no
+// more than the tail states, and symplfied_concrete_tail_store_lap_steps_total
+// by no more than the skipped steps: the sweep's hangs skip laps, and its
+// stack walks skip laps that store.
 func TestConcreteTailCounter(t *testing.T) {
 	prog := tcas.Program()
 	exec := symexec.DefaultOptions()
 	exec.Watchdog = 2_000
-	states, tails, skips := liveStates.Value(), liveTailStates.Value(), liveTailSkipped.Value()
+	states, tails, skips, storeLaps := liveStates.Value(), liveTailStates.Value(), liveTailSkipped.Value(), liveTailStoreLaps.Value()
 	rep, err := Run(Spec{
 		Program:     prog,
 		Input:       tcas.UpwardInput().Slice(),
@@ -310,7 +355,11 @@ func TestConcreteTailCounter(t *testing.T) {
 	if ran <= 0 || ran > explored || explored != int64(rep.TotalStates) {
 		t.Errorf("concrete tails ran %d states of %d explored (report: %d)", ran, explored, rep.TotalStates)
 	}
-	if skipped := liveTailSkipped.Value() - skips; skipped <= 0 || skipped > ran {
+	skipped := liveTailSkipped.Value() - skips
+	if skipped <= 0 || skipped > ran {
 		t.Errorf("concrete tails skipped %d of their %d states", skipped, ran)
+	}
+	if stored := liveTailStoreLaps.Value() - storeLaps; stored <= 0 || stored > skipped {
+		t.Errorf("the store-lap gear skipped %d of the tails' %d skipped steps", stored, skipped)
 	}
 }

@@ -28,7 +28,11 @@ var Input = []int64{3, -7, 0, 1 << 40}
 // hangs. The mix reaches every exception the machine raises on err-free
 // operands: division by zero, end of input, a load from an undefined word,
 // throw, a jr to a code address outside the program, a CHECK that fires,
-// one whose target word is undefined and one naming no detector.
+// one whose target word is undefined and one naming no detector. Bytes 0xf0
+// to 0xf5 decode to the instructions of a stack frame on $29 and $31 —
+// allocate, save, call, reload, free, return — so calls can save their
+// return address, and a return into a function past its allocation walks
+// the stack a frame per lap.
 func Program(data []byte) (*isa.Program, *detector.Table) {
 	b := isa.NewBuilder("fuzz")
 	n := min(len(data), MaxLen)
@@ -44,6 +48,10 @@ func Program(data []byte) (*isa.Program, *detector.Table) {
 		imm := int64(int8(at(i*7 + 1)))
 		r1, r2, r3 := reg(i*3+1), reg(i*3+2), reg(i*3+3)
 		target := fmt.Sprintf("L%d", int(at(i*5+2))%(n+1))
+		if op := at(i); op >= 0xf0 && op <= 0xf5 {
+			stackOp(b, op-0xf0, 1+int64(at(i*7+1)%4), int64(at(i*11+4)%4), r1, at(i*3+4)%2 == 0, target)
+			continue
+		}
 		switch at(i) % 20 {
 		case 0:
 			b.Li(r1, imm)
@@ -97,6 +105,29 @@ func Program(data []byte) (*isa.Program, *detector.Table) {
 	b.Label(fmt.Sprintf("L%d", n))
 	b.Halt()
 	return b.MustBuild(), detectors
+}
+
+// stackOp emits stack-frame instruction op (0 to 5): subi or addi of size
+// on $29, a st or ld of $31 (ra) or r at offset off($29), a jal to target,
+// or a jr $31.
+func stackOp(b *isa.Builder, op byte, size, off int64, r isa.Reg, ra bool, target string) {
+	if ra {
+		r = isa.RegRA
+	}
+	switch op {
+	case 0:
+		b.Subi(isa.RegSP, isa.RegSP, size)
+	case 1:
+		b.St(r, off, isa.RegSP)
+	case 2:
+		b.Jal(target)
+	case 3:
+		b.Ld(r, off, isa.RegSP)
+	case 4:
+		b.Addi(isa.RegSP, isa.RegSP, size)
+	default:
+		b.Jr(isa.RegRA)
+	}
 }
 
 // detectors is the table of every fuzz program's CHECKs; ID 4 is unknown.

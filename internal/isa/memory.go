@@ -152,6 +152,26 @@ func (m *Memory) rehash(old []memSlot) {
 	}
 }
 
+// Grow makes room for n more words, so that defining them does not grow
+// the table again: when they could push the load factor past 3/4, it
+// rehashes into a private table of the size they need in one allocation.
+func (m *Memory) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	size := max(len(m.slots), minMemSlots)
+	for 4*(m.n+n) > 3*size {
+		size *= 2
+	}
+	if size == len(m.slots) {
+		return
+	}
+	old := m.slots
+	m.slots = make([]memSlot, size)
+	m.shared = false
+	m.rehash(old)
+}
+
 // Len returns the number of defined words.
 func (m *Memory) Len() int { return m.n }
 

@@ -161,7 +161,7 @@ func TestMemRefillKeepsRoom(t *testing.T) {
 	}
 }
 
-// FuzzMemoryImage runs random Store/Load/CopyFrom/Refill/Clone sequences against a
+// FuzzMemoryImage runs random Store/Load/CopyFrom/Refill/Clone/Grow sequences against a
 // map reference. Each three-byte operation picks an image, an address
 // (small, negative, or extreme, so probes wrap and collide) and a value.
 // After every step each image must agree with its reference at the address
@@ -226,8 +226,10 @@ func FuzzMemoryImage(f *testing.F) {
 					mems[j] = mems[i].Clone()
 					refs[j] = copyRef(refs[i])
 				}
-			case 3: // copy, or refill a scratch image
-				if i != j {
+			case 3: // copy, or refill a scratch image; or grow one
+				if i == j {
+					mems[i].Grow(int(v))
+				} else {
 					if v&1 != 0 {
 						mems[j].Refill(&mems[i])
 					} else {
@@ -246,6 +248,30 @@ func FuzzMemoryImage(f *testing.F) {
 			checkImage(t, &mems[k], refs[k])
 		}
 	})
+}
+
+// TestMemGrowOnce: after Grow(n), defining n new words reallocates nothing,
+// and a clone sharing the table before the growth keeps its words.
+func TestMemGrowOnce(t *testing.T) {
+	var m Memory
+	for a := int64(0); a < 20; a++ {
+		m.Store(a, Int(a))
+	}
+	c := m.Clone()
+	m.Grow(300)
+	table := &m.slots[0]
+	for a := int64(100); a < 400; a++ {
+		m.Store(a, Int(-a))
+	}
+	if &m.slots[0] != table {
+		t.Errorf("defining 300 words after Grow(300) grew the table again")
+	}
+	if v, ok := c.Load(5); c.Len() != 20 || !ok || v != Int(5) {
+		t.Errorf("the clone holds %d words, 5 = %v", c.Len(), v)
+	}
+	if v, ok := m.Load(5); m.Len() != 320 || !ok || v != Int(5) {
+		t.Errorf("the grown image holds %d words, 5 = %v", m.Len(), v)
+	}
 }
 
 func copyRef(m map[int64]Value) map[int64]Value {

@@ -21,8 +21,9 @@
 // counters for crash-site context. RunTail runs a state kept outside the
 // machine (an Image) and hands it back: the model checker runs the err-free
 // stretches of its symbolic paths this way, and RunTail skips the laps of a
-// hang it can prove repeat (exactly, or as an affine register map: see
-// affine.go) instead of executing them.
+// hang it can prove repeat (exactly, as an affine register map, or as an
+// affine map of the registers and the words a lap stores and reads back:
+// see affine.go) instead of executing them.
 package machine
 
 import (
@@ -31,6 +32,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"symplfied/internal/detector"
 	"symplfied/internal/isa"
@@ -148,6 +150,9 @@ type Machine struct {
 	// cycle checkpoint, allocated at the first one and kept for later tails.
 	stores int
 	cp     *tailCheckpoint
+	// storeLapSteps counts the steps RunTail's store-lap gear skipped
+	// over every tail m ran (StoreLapSteps).
+	storeLapSteps int
 	// excBuf, set by RunTail from Image.ExcBuf, is where raise writes the
 	// exception instead of allocating one.
 	excBuf *isa.Exception
@@ -510,6 +515,10 @@ type Image struct {
 	ExcBuf *isa.Exception
 }
 
+// StoreLapSteps returns how many steps RunTail's store-lap gear has skipped
+// over every tail m ran; they are part of the steps RunTail returned.
+func (m *Machine) StoreLapSteps() int { return m.storeLapSteps }
+
 // RunTail runs the running image img on m, with prog and watchdog, and
 // writes the resulting state back into img. It runs until the run stops,
 // has reached limit steps in all (an absolute step count, like Steps), or is
@@ -525,13 +534,17 @@ type Image struct {
 // executed: RunTail returns how many. At Brent-style checkpoints (the
 // first after CycleCheckpointStart steps, then at doubling intervals) it
 // saves the configuration, and when the run returns to the checkpoint pc
-// without having changed memory, read input or printed, it either skips every whole
-// lap that fits below min(limit, watchdog) by advancing Steps (the
-// registers recurred too: an exact lap) or probes the next laps for an
-// affine register map and adds k laps of delta (affineLaps). The watchdog
-// then raises at the step count it would have reached. The machine's
-// TraceTail ring is left unspecified: internal/simplescalar reads it and
-// never calls RunTail.
+// without having read input or printed, it skips every whole lap that fits
+// below min(limit, watchdog) by one of its gears. When memory recurred too,
+// it either advances Steps (the registers recurred: an exact lap) or probes
+// the next laps for an affine register map and adds k laps of delta
+// (affineLaps). When memory changed, the store-lap gear probes them for a
+// lap whose stores and registers advance affinely, adding k laps of delta
+// and replaying their stores (storeLaps), or, when the registers recurred,
+// for a period that rewrites every word it changes (periodicLap). The
+// watchdog then raises at the step count it would have reached. The
+// machine's TraceTail ring is left unspecified: internal/simplescalar reads
+// it and never calls RunTail.
 func (m *Machine) RunTail(prog *isa.Program, watchdog int, img *Image, limit int) (skipped int) {
 	m.prog, m.code, m.watchdog = prog, prog.Code(), watchdog
 	m.pc, m.regs, m.in, m.inPos, m.steps = img.PC, img.Regs, img.In, img.InPos, img.Steps
@@ -583,8 +596,9 @@ func (m *Machine) RunTail(prog *isa.Program, watchdog int, img *Image, limit int
 // until the next one after CycleMissLimit returns to its pc that did not
 // recur (a loop that keeps changing memory or printing never settles),
 // bounding the comparison cost of loops that never repeat. In RunTail a
-// return that enters the affine gear disarms it too, whether or not the
-// gear skips: the gear has already executed the two laps it needed to see.
+// return that enters the affine or the store-lap gear disarms it too,
+// whether or not the gear skips: the gear has already executed the laps it
+// needed to see.
 const (
 	CycleCheckpointStart = 64
 	CycleMissLimit       = 4
@@ -592,14 +606,63 @@ const (
 
 // tailCheckpoint is the configuration RunTail compares a return to its pc
 // against: everything a lap can change apart from memory and the output's
-// content. A lap that changes memory is a miss, so memory needs no copy:
-// while the machine's count of stores that changed memory is the
-// checkpoint's, memory is too. The output only grows, so its length stands
-// for it.
+// content. Memory needs no copy: while the machine's count of stores that
+// changed memory is the checkpoint's, memory is too, and a lap that changed
+// it is for the store-lap gear, which records what it needs. The output only
+// grows, so its length stands for it. The rest is the gears' reused
+// scratch.
 type tailCheckpoint struct {
 	pc, inPos, outLen, steps, stores int
 	regs                             [isa.NumRegs]isa.Value
-	window                           []int // affineLaps's recorded lap
+	window                           []int        // the gears' recorded lap
+	access                           []lapAccess  // storeLaps's recorded accesses
+	log                              []loggedWord // periodicLap's stored words
+}
+
+// loggedWord is a word periodicLap saw a store to, with its value before.
+type loggedWord struct {
+	addr    int64
+	old     isa.Value
+	defined bool
+}
+
+// lapKey identifies a return to a checkpoint for the store-lap gear: the
+// program, the pc, the steps since the checkpoint and the registers that
+// changed.
+type lapKey struct {
+	prog      *isa.Program
+	pc, steps int
+	changed   uint32
+}
+
+// lapFails holds the returns whose next lap failed the store-lap gear
+// before its verify lap: the lap did not close, or failed storeLapShapeOK,
+// or its period did not recur (periodicLap). Every machine shares it, so a
+// lap that failed in one tail is not recorded again in the next tail, or the
+// next injection's. It forgets everything past maxLapFails returns.
+var lapFails struct {
+	sync.Mutex
+	m map[lapKey]struct{}
+}
+
+const maxLapFails = 1 << 14
+
+// failed reports whether a return with key failed before.
+func failed(key lapKey) bool {
+	lapFails.Lock()
+	_, ok := lapFails.m[key]
+	lapFails.Unlock()
+	return ok
+}
+
+// fail remembers that a return with key failed.
+func fail(key lapKey) {
+	lapFails.Lock()
+	if lapFails.m == nil || len(lapFails.m) == maxLapFails {
+		lapFails.m = make(map[lapKey]struct{})
+	}
+	lapFails.m[key] = struct{}{}
+	lapFails.Unlock()
 }
 
 // checkpoint saves the current configuration as the cycle checkpoint.
@@ -612,16 +675,19 @@ func (m *Machine) checkpoint() {
 	cp.regs = m.regs
 }
 
-// recur handles a return to the checkpoint pc below end. A lap that changed
-// memory, read input or printed is a miss. When the configuration recurred
-// whole, every further lap is identical (the machine is deterministic), so
-// it skips all whole laps that fit below end; when only registers changed,
-// it tries affineLaps. It returns the steps skipped, and served unless the
-// return was a miss.
+// recur handles a return to the checkpoint pc below end. A lap that read
+// input or printed is a miss, and one that changed memory is for storeLaps.
+// When the configuration recurred whole, every further lap is identical
+// (the machine is deterministic), so it skips all whole laps that fit below
+// end; when only registers changed, it tries affineLaps. It returns the
+// steps skipped, and served unless the return was a miss.
 func (m *Machine) recur(end int) (skipped int, served bool) {
 	cp := m.cp
-	if m.stores != cp.stores || m.inPos != cp.inPos || len(m.out) != cp.outLen {
+	if m.inPos != cp.inPos || len(m.out) != cp.outLen {
 		return 0, false
+	}
+	if m.stores != cp.stores {
+		return m.storeLaps(end)
 	}
 	if m.regs != cp.regs {
 		return m.affineLaps(end), true
@@ -673,6 +739,160 @@ func (m *Machine) affineLaps(end int) int {
 	AdvanceAffine(&m.regs, &d, k)
 	m.steps += k * len(w)
 	return k * len(w)
+}
+
+// storeLaps is the store-lap gear, entered at a return to the checkpoint
+// where the input position and output length recurred but memory did not.
+// The return is a miss, costing nothing, when the lap from the checkpoint
+// is longer than MaxAffineLap, or when a return with its lapKey already
+// failed (lapFails). A return whose registers recurred is for periodicLap.
+// Otherwise it executes the next lap, recording its window, register delta
+// d and loads and stores, and gives up when the lap takes four times the
+// steps the one from the checkpoint took; when the lap passes
+// storeLapShapeOK it executes one more, which must replay the window and
+// repeat d, recording the same accesses again. When storeLapOK proves the k
+// whole laps that fit below end repeat, it replays their stores, adds k·d
+// to the registers and advances Steps past them. It returns the steps
+// skipped, and served unless the return was a miss; the laps it executes
+// are real steps, so declining at any point leaves a correct state.
+func (m *Machine) storeLaps(end int) (int, bool) {
+	cp := m.cp
+	lap0 := m.steps - cp.steps
+	if lap0 > MaxAffineLap {
+		return 0, false
+	}
+	key := lapKey{prog: m.prog, pc: m.pc, steps: lap0}
+	for r := range m.regs {
+		if m.regs[r] != cp.regs[r] {
+			key.changed |= 1 << r
+		}
+	}
+	if failed(key) {
+		return 0, false
+	}
+	if m.regs == cp.regs {
+		return m.periodicLap(end, key), true
+	}
+	boundary, r0 := m.pc, m.regs
+	w, acc := cp.window[:0], cp.access[:0]
+	defer func() { cp.window, cp.access = w, acc }()
+	for len(w) == 0 || m.pc != boundary {
+		if len(w) == min(4*lap0, MaxAffineLap) {
+			fail(key)
+			return 0, true
+		}
+		// Only the step may touch the code at pc: a jr may have left
+		// the program.
+		w = append(w, m.pc)
+		addr, val, store, ok := m.access()
+		if ok {
+			acc = append(acc, lapAccess{Pos: len(w) - 1, Store: store, Addr: [2]int64{addr}, Val: [2]int64{val}})
+		}
+		stores := m.stores
+		if !m.tailStep(end) {
+			return 0, true
+		}
+		if ok {
+			acc[len(acc)-1].Changed = m.stores != stores
+		}
+	}
+	d, ok := LapDelta(&r0, &m.regs)
+	if !ok || !storeLapShapeOK(m.prog, w, &d, acc) {
+		fail(key)
+		return 0, true
+	}
+	r1, i := m.regs, 0
+	for _, pc := range w {
+		if m.pc != pc {
+			return 0, true
+		}
+		if addr, val, _, ok := m.access(); ok {
+			acc[i].Addr[1], acc[i].Val[1] = addr, val
+			i++
+		}
+		if !m.tailStep(end) {
+			return 0, true
+		}
+	}
+	if d2, ok := LapDelta(&r1, &m.regs); !ok || d2 != d || m.pc != boundary {
+		return 0, true
+	}
+	k := (end - m.steps) / len(w)
+	if !storeLapOK(m.prog, w, &d, acc, k) {
+		return 0, true
+	}
+	m.stores += replayStoreLaps(&m.mem, acc, k)
+	AdvanceAffine(&m.regs, &d, k)
+	m.steps += k * len(w)
+	m.storeLapSteps += k * len(w)
+	return k * len(w), true
+}
+
+// periodicLap handles a return to the checkpoint whose registers recurred
+// although stores changed memory on the way: a loop whose period passes the
+// checkpoint pc more than once may rewrite every word it changes with the
+// value the word had one period before. It executes one more lap of the
+// same length, logging each stored word's value before the store, and when
+// the pc, registers, input position and output length recur and every
+// logged word holds its first logged value again, the configuration
+// recurred whole: it skips every whole lap that fits below end, as recur
+// does for an exact lap. A lap that fails is remembered under key.
+func (m *Machine) periodicLap(end int, key lapKey) int {
+	cp := m.cp
+	lap, pc, regs := m.steps-cp.steps, m.pc, m.regs
+	inPos, outLen := m.inPos, len(m.out)
+	log := cp.log[:0]
+	defer func() { cp.log = log }()
+	for i := 0; i < lap; i++ {
+		if addr, _, store, ok := m.access(); ok && store {
+			old, defined := m.mem.Load(addr)
+			log = append(log, loggedWord{addr, old, defined})
+		}
+		if !m.tailStep(end) {
+			return 0
+		}
+	}
+	recurred := m.pc == pc && m.regs == regs && m.inPos == inPos && len(m.out) == outLen
+	for i := 0; recurred && i < len(log); i++ {
+		first := true
+		for j := 0; j < i && first; j++ {
+			first = log[j].addr != log[i].addr
+		}
+		if first {
+			v, defined := m.mem.Load(log[i].addr)
+			recurred = defined == log[i].defined && v == log[i].old
+		}
+	}
+	if !recurred {
+		fail(key)
+		return 0
+	}
+	skipped := (end - m.steps) / lap * lap
+	m.steps += skipped
+	m.storeLapSteps += skipped
+	return skipped
+}
+
+// access returns the address and the word of the load or store the machine
+// is about to execute: the value it stores, or the value at the address
+// (0 when undefined; the load then raises). ok is false for any other
+// instruction, or a pc outside the program.
+func (m *Machine) access() (addr, val int64, store, ok bool) {
+	if uint(m.pc) >= uint(len(m.code)) {
+		return 0, 0, false, false
+	}
+	op := &m.code[m.pc]
+	if op.Kind != isa.KindLd && op.Kind != isa.KindSt {
+		return 0, 0, false, false
+	}
+	base, _ := m.regs[op.Rs].Concrete()
+	addr = base + op.Imm
+	v := m.regs[op.Rt]
+	if op.Kind == isa.KindLd {
+		v, _ = m.mem.Load(addr)
+	}
+	val, _ = v.Concrete()
+	return addr, val, op.Kind == isa.KindSt, true
 }
 
 // tailStep executes one instruction of a tail when the step count is below

@@ -154,15 +154,193 @@ func TestRunTailMemoryLaps(t *testing.T) {
 	}
 }
 
+// TestRunTailStoreLaps: laps that change memory, run through RunTail at
+// every step limit, end in the state Step-by-step execution reaches, and
+// the store-lap gear skips exactly the ones whose stores and loads it can
+// prove repeat: the unbalanced frame of a return through a corrupted $31
+// (the lap enters a function just past its frame allocation, so the stack
+// pointer walks up a frame per lap), a loop that passes the checkpoint
+// twice per period and rewrites a word with alternating values, a load of
+// the word the previous lap stored, and frames that overlap from lap to
+// lap. A fixed-address load
+// that a strided store reaches 30 laps in must not be skipped past, nor a
+// load of a word its own lap or the previous one stored when a store in
+// between reaches it some 50 laps in; neither may a strided load of words the prefix wrote, or of
+// words stored two laps back (their values grow as a Fibonacci sequence),
+// a word read back from the previous lap that triples every lap, or a
+// word read back from its own lap that a branch then tests.
+func TestRunTailStoreLaps(t *testing.T) {
+	const w = 700
+	for _, c := range []struct {
+		name, src string
+		skips     bool
+	}{
+		{"unbalanced frame", `
+	li $29 1000
+	li $8 42
+	st $8 5($0)
+	li $31 8
+	jmp body
+leaf:	ld $8 5($0)
+	jr $31
+fn:	subi $29 $29 2
+body:	st $31 0($29)
+	jal leaf
+	ld $31 0($29)
+	addi $29 $29 2
+	jr $31
+`, true},
+		{"period of two laps", `
+	li $29 1000
+loop:	li $5 1
+	st $5 0($29)
+	jal f
+	li $5 2
+	st $5 0($29)
+	jal f
+	jmp loop
+f:	addi $6 $5 0
+	jr $31
+`, true},
+		{"previous lap's store", `
+	li $1 100
+	st $0 0($1)
+loop:	ld $2 0($1)
+	addi $2 $2 3
+	addi $1 $1 1
+	st $2 0($1)
+	jmp loop
+`, true},
+		{"overlapping frames", `
+	li $29 1000
+	li $5 9
+	st $5 1000($0)
+loop:	ld $8 0($29)
+	st $5 0($29)
+	st $8 1($29)
+	ld $6 0($29)
+	add $7 $7 $6
+	addi $29 $29 1
+	jmp loop
+`, true},
+		{"fixed load a strided store reaches", `
+	li $1 100
+	li $4 7
+	st $4 130($0)
+loop:	ld $2 130($0)
+	st $1 0($1)
+	add $3 $3 $2
+	addi $1 $1 1
+	jmp loop
+`, true},
+		{"store in between reaches a load", `
+	li $1 100
+	li $9 50
+	li $5 3
+	li $6 11
+	st $0 0($1)
+loop:	st $5 0($1)
+	st $6 0($9)
+	ld $7 0($1)
+	add $8 $8 $7
+	addi $1 $1 1
+	addi $9 $9 2
+	jmp loop
+`, true},
+		{"store after a load's writer reaches it", `
+	li $1 100
+	li $9 40
+	li $5 3
+	li $6 11
+	st $5 100($0)
+loop:	ld $7 0($1)
+	add $8 $8 $7
+	addi $1 $1 1
+	st $5 0($1)
+	st $6 0($9)
+	addi $9 $9 2
+	jmp loop
+`, true},
+		{"store before a load reaches its word", `
+	li $1 100
+	li $9 40
+	li $5 3
+	li $6 11
+	st $5 100($0)
+loop:	st $6 0($9)
+	ld $7 0($1)
+	add $8 $8 $7
+	addi $1 $1 1
+	st $5 0($1)
+	addi $9 $9 2
+	jmp loop
+`, true},
+		{"strided load of prefix words", `
+	li $1 100
+init:	st $1 0($1)
+	addi $1 $1 1
+	bnei $1 180 init
+	li $1 100
+loop:	ld $2 0($1)
+	st $2 500($1)
+	addi $1 $1 1
+	jmp loop
+`, false},
+		{"two laps back", `
+	li $1 100
+	li $3 1
+	st $3 0($1)
+	st $3 1($1)
+loop:	ld $2 0($1)
+	ld $3 1($1)
+	add $2 $2 $3
+	st $2 2($1)
+	addi $1 $1 1
+	jmp loop
+`, false},
+		{"tripling word read back", `
+	li $1 100
+	li $2 1
+	st $2 0($1)
+loop:	ld $2 0($1)
+	mult $2 $2 3
+	addi $1 $1 1
+	st $2 0($1)
+	li $2 0
+	jmp loop
+`, false},
+		{"branch on a word read back", `
+	li $9 1000
+loop:	addi $1 $1 1
+	addi $9 $9 1
+	st $1 0($9)
+	ld $2 0($9)
+	beqi $2 90 out
+	li $2 0
+	jmp loop
+out:	halt
+`, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if skipped := tailExactness(t, c.name, c.src, w); (skipped > 0) != c.skips {
+				t.Errorf("skipped %d steps over all limits; want skipping %v", skipped, c.skips)
+			}
+		})
+	}
+}
+
 // TestRunTailJumpOutMidLap: a jr through a live counter walks a table of
 // jumps back to the loop head until it leaves the program. Over the table
 // lengths below the exit lands in every position relative to the
 // accelerator's checkpoints and probe laps, the verify lap included, where
-// the probe must compare the pc before anything reads the code there.
+// the probe must compare the pc before anything reads the code there. The
+// second loop also stores a new word every lap, so its probes are the
+// store-lap gear's.
 func TestRunTailJumpOutMidLap(t *testing.T) {
 	for n := 16; n <= 48; n++ {
-		src := "\tli $5 2\nloop:\taddi $5 $5 1\n\tjr $5\n" + strings.Repeat("\tjmp loop\n", n)
-		tailExactness(t, fmt.Sprintf("jump table %d", n), src, 3*n+20)
+		table := strings.Repeat("\tjmp loop\n", n)
+		tailExactness(t, fmt.Sprintf("jump table %d", n), "\tli $5 2\nloop:\taddi $5 $5 1\n\tjr $5\n"+table, 3*n+20)
+		tailExactness(t, fmt.Sprintf("storing jump table %d", n), "\tli $5 3\nloop:\taddi $5 $5 1\n\tst $5 300($5)\n\tjr $5\n"+table, 4*n+20)
 	}
 }
 
@@ -178,6 +356,13 @@ func FuzzRunTailCycles(f *testing.F) {
 	f.Add([]byte("\v\x01\v\x16\f\x19\x0f"), uint16(1_000))   // nested branches
 	f.Add([]byte("00B0011c"), uint16(700))                   // CHECKs
 	f.Add([]byte("A0bA1AB901"), uint16(1_000))               // a jr out of the program
+	// Stack frames the store-lap gear skips: a frame allocated in a
+	// recursive call walking down the stack, one freed without being
+	// allocated, and a walk cut off inside the skipped laps.
+	f.Add([]byte("\xf1\xf0\xf2\xf3\xf1\x9c\xf1\xf5\x01\xf5E"), uint16(1_000))
+	f.Add([]byte("\x01\xf0\xf1\xf5\f\xf1\xf2\xf3\xf5\xf2z\f"), uint16(1_000))
+	f.Add([]byte("\xf1\xf3\xf4-\r\xf1\xf5\xf2\x0e\xf1\xf2"), uint16(1_000))
+	f.Add([]byte("\xf1\xf3\xf4-\r\xf1\xf5\xf2\x0e\xf1\xf2"), uint16(613))
 	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
 		const watchdog = 1_000
 		prog, dets := fuzzprog.Program(data)

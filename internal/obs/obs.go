@@ -44,9 +44,11 @@ const (
 	MFrontier      = "symplfied_frontier_states"     // gauge: live frontier width (summed over workers)
 	MFrontierMax   = "symplfied_frontier_max_states" // gauge: high-water frontier width
 	// States the plain explorer ran on the concrete machine (err-free tails),
-	// and the part of them the machine's cycle accelerator skipped.
-	MConcreteTail        = "symplfied_concrete_tail_states_total"
-	MConcreteTailSkipped = "symplfied_concrete_tail_skipped_steps_total"
+	// the part of them the machine's cycle accelerator skipped, and the part
+	// of those its store-lap gear skipped (laps that change memory).
+	MConcreteTail          = "symplfied_concrete_tail_states_total"
+	MConcreteTailSkipped   = "symplfied_concrete_tail_skipped_steps_total"
+	MConcreteTailStoreLaps = "symplfied_concrete_tail_store_lap_steps_total"
 	// Control fan-out children (a jr through an erroneous target) by how the
 	// explorer ran them: in a reused scratch state, or built as a state.
 	MControlTargets = "symplfied_control_targets_total" // label path: in_place|materialized
