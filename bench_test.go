@@ -81,58 +81,6 @@ func BenchmarkClassesStudy(b *testing.B) { benchExperiment(b, "classes") }
 
 // --- Microbenchmarks -------------------------------------------------------
 
-// BenchmarkConcreteMachineTcas measures the deterministic interpreter: one
-// full fault-free tcas execution per iteration.
-func BenchmarkConcreteMachineTcas(b *testing.B) {
-	prog := tcas.Program()
-	input := tcas.UpwardInput().Slice()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		m := machine.New(prog, input, machine.Options{})
-		res := m.Run()
-		if res.Status != machine.StatusHalted {
-			b.Fatalf("run failed: %v", res.Exception)
-		}
-		steps = res.Steps
-	}
-	b.ReportMetric(float64(steps), "instructions/op")
-}
-
-// BenchmarkSymbolicInPlaceTcas measures the symbolic executor's
-// deterministic fast path over a fault-free tcas execution.
-func BenchmarkSymbolicInPlaceTcas(b *testing.B) {
-	prog := tcas.Program()
-	input := tcas.UpwardInput().Slice()
-	for i := 0; i < b.N; i++ {
-		st := symexec.NewState(prog, nil, input, symexec.DefaultOptions())
-		for st.Running() {
-			if !st.StepInPlace() {
-				b.Fatal("fault-free execution forked")
-			}
-		}
-		if st.Outcome() != symexec.OutcomeNormal {
-			b.Fatalf("outcome %v", st.Outcome())
-		}
-	}
-}
-
-// BenchmarkSymbolicForkClone measures the forking (clone) path: the state is
-// forked at a comparison on err each iteration.
-func BenchmarkSymbolicForkClone(b *testing.B) {
-	prog := tcas.Program()
-	input := tcas.UpwardInput().Slice()
-	st := symexec.NewState(prog, nil, input, symexec.DefaultOptions())
-	for j := 0; j < 40; j++ { // advance into the program for realistic state size
-		st.StepInPlace()
-	}
-	st.Inject(isa.RegLoc(8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := st.Clone()
-		_ = c
-	}
-}
-
 // BenchmarkConstraintSolver measures constraint conjunction, normalization
 // and satisfiability over a typical atom mix.
 func BenchmarkConstraintSolver(b *testing.B) {

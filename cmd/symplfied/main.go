@@ -343,7 +343,6 @@ func run(ctx context.Context, args []string) error {
 			Checkpoint: *ckpt,
 			Resume:     *resume,
 			Retries:    *retries,
-			Workers:    *workers,
 		})
 		if err != nil {
 			return err

@@ -24,21 +24,23 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"symplfied/internal/checker"
 	"symplfied/internal/faults"
 	"symplfied/internal/fingerprint"
 	"symplfied/internal/obs"
+	"symplfied/internal/pool"
 )
 
 // KindSymbolic is the journal kind written by this runner.
 const KindSymbolic = "symbolic"
 
-// Config tunes the resilient runner. The zero value runs the campaign
-// sequentially with no checkpointing and no retries — equivalent to
-// checker.RunCtx plus panic isolation accounting.
+// Config tunes the resilient runner. The zero value runs the campaign with
+// no checkpointing and no retries — equivalent to checker.RunCtx plus panic
+// isolation accounting. Like every sweep, the campaign fans its injections
+// through the shared worker pool (internal/pool) at spec.Parallelism
+// workers; the merged report is the same at any width.
 type Config struct {
 	// Checkpoint is the journal file path; empty disables checkpointing.
 	Checkpoint string
@@ -50,14 +52,9 @@ type Config struct {
 	// the per-injection deadline) up to this many additional times, halving
 	// the state budget and degrading the executor options each attempt.
 	Retries int
-	// Workers sizes the worker pool; 0 (or the spec's Parallelism, when
-	// Workers is unset) follows checker.Spec.Parallelism semantics: 0 means
-	// GOMAXPROCS, 1 runs sequentially. Like Parallelism, Workers is
-	// operational only — it never enters the campaign fingerprint.
-	Workers int
 	// OnInjection, if set, is called after each injection settles (resumed
 	// or explored) with the number settled so far and the campaign total.
-	// Called from worker goroutines under the runner's lock.
+	// Called from the pool's workers under the runner's lock.
 	OnInjection func(done, total int)
 }
 
@@ -157,50 +154,26 @@ func Run(ctx context.Context, spec checker.Spec, cfg Config) (*checker.Report, S
 	}
 
 	results := make([]checker.InjectionReport, len(spec.Injections))
-	settled := make([]bool, len(spec.Injections))
-
 	var (
 		mu       sync.Mutex // guards stats, done counter, journalErr
 		done     int
 		jErr     error
-		wg       sync.WaitGroup
-		indexes  = make(chan int)
-		workers  = cfg.Workers
 		injTotal = len(spec.Injections)
 	)
-	if workers <= 0 {
-		// Inherit the spec's Parallelism knob (0: GOMAXPROCS), so a
-		// context-first caller sets one field and every engine respects it.
-		workers = spec.Parallelism
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > injTotal {
-		workers = injTotal
-	}
 
 	// Decomposition-progress gauges: the campaign's unit of work is one
 	// injection. Deltas, not Set, so a concurrently-running cluster study on
-	// the same process stays additive; the defer retires this campaign's
-	// contribution when it returns.
+	// the same process stays additive; the sweep retires this campaign's
+	// contribution when it ends.
 	var (
 		reg        = obs.Default()
 		tasksTotal = reg.Gauge(obs.MTasksTotal)
 		tasksDone  = reg.Gauge(obs.MTasksDone)
 	)
 	tasksTotal.Add(int64(injTotal))
-	defer func() {
-		mu.Lock()
-		retire := int64(done)
-		mu.Unlock()
-		tasksTotal.Add(-int64(injTotal))
-		tasksDone.Add(-retire)
-	}()
 
 	settle := func(i int, ir checker.InjectionReport, resumed bool, retried int) {
 		results[i] = ir
-		settled[i] = true
 		mu.Lock()
 		defer mu.Unlock()
 		done++
@@ -225,76 +198,58 @@ func Run(ctx context.Context, spec checker.Spec, cfg Config) (*checker.Report, S
 		}
 	}
 
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indexes {
-				inj := spec.Injections[i]
-				key := Key(inj)
+	ran := pool.Run(ctx, spec.Parallelism, injTotal, func(i int) bool {
+		inj := spec.Injections[i]
+		key := Key(inj)
 
-				if raw, ok := journaled[key]; ok {
-					var ir checker.InjectionReport
-					if err := json.Unmarshal(raw, &ir); err == nil {
-						settle(i, ir, true, 0)
-						continue
-					}
-					// An undecodable entry is re-explored rather than trusted.
-				}
-
-				ir, retried := runWithRetries(ctx, spec, inj, cfg.Retries)
-				// Journal everything that settled on its own terms. An
-				// injection cut short by campaign cancellation (or by the
-				// campaign-wide deadline) is NOT journaled: it must re-run
-				// in full on resume. A per-injection deadline with the
-				// campaign still live is a settled outcome — the injection
-				// consumed its allotment — and is journaled as such.
-				complete := ctx.Err() == nil && (!ir.Interrupted || ir.TimedOut)
-				if journal != nil && complete {
-					if err := journal.Append(key, ir); err != nil {
-						mu.Lock()
-						if jErr == nil {
-							jErr = err
-						}
-						mu.Unlock()
-					}
-				}
-				if complete {
-					settle(i, ir, false, retried)
-				} else {
-					// Keep the partial tallies for this run's merged report,
-					// but leave the injection unsettled in stats terms: it
-					// re-runs on resume.
-					results[i] = ir
-					settled[i] = true
-					mu.Lock()
-					stats.Executed++
-					stats.Retried += retried
-					mu.Unlock()
-				}
+		if raw, ok := journaled[key]; ok {
+			var ir checker.InjectionReport
+			if err := json.Unmarshal(raw, &ir); err == nil {
+				settle(i, ir, true, 0)
+				return false
 			}
-		}()
-	}
-
-dispatch:
-	for i := range spec.Injections {
-		select {
-		case indexes <- i:
-		case <-ctx.Done():
-			break dispatch
+			// An undecodable entry is re-explored rather than trusted.
 		}
-	}
-	close(indexes)
-	wg.Wait()
+
+		ir, retried := runWithRetries(ctx, spec, inj, cfg.Retries)
+		// Journal everything that settled on its own terms. An injection
+		// cut short by campaign cancellation (or by the campaign-wide
+		// deadline) is NOT journaled: it must re-run in full on resume. A
+		// per-injection deadline with the campaign still live is a settled
+		// outcome — the injection consumed its allotment — and is journaled
+		// as such.
+		complete := ctx.Err() == nil && (!ir.Interrupted || ir.TimedOut)
+		if journal != nil && complete {
+			if err := journal.Append(key, ir); err != nil {
+				mu.Lock()
+				if jErr == nil {
+					jErr = err
+				}
+				mu.Unlock()
+			}
+		}
+		if complete {
+			settle(i, ir, false, retried)
+			return false
+		}
+		// Keep the partial tallies for this run's merged report, but leave
+		// the injection unsettled in stats terms: it re-runs on resume.
+		results[i] = ir
+		mu.Lock()
+		stats.Executed++
+		stats.Retried += retried
+		mu.Unlock()
+		return false
+	})
+
+	tasksTotal.Add(-int64(injTotal))
+	tasksDone.Add(-int64(done))
 
 	rep := checker.NewReport(&spec)
-	for i := range spec.Injections {
-		if settled[i] {
-			rep.Add(results[i])
-		} else {
-			stats.NotAttempted++
-		}
+	for _, ir := range results[:ran] {
+		rep.Add(ir)
 	}
+	stats.NotAttempted = injTotal - ran
 	if stats.NotAttempted > 0 || ctx.Err() != nil {
 		rep.Interrupted = true
 	}

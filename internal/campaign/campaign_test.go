@@ -257,19 +257,20 @@ func TestTransientPanicRecoveredByRetry(t *testing.T) {
 
 // TestParallelWorkersMergeInSpecOrder proves the merged report is ordered by
 // the spec regardless of worker interleaving, and is identical to the
-// sequential run. Run with -race this also exercises the journal and stats
+// one-worker run. Run with -race this also exercises the journal and stats
 // locking.
 func TestParallelWorkersMergeInSpecOrder(t *testing.T) {
 	const n = 60
-	want, _, err := Run(context.Background(), wideSpec(t, n), Config{})
+	one := wideSpec(t, n)
+	one.Parallelism = 1
+	want, _, err := Run(context.Background(), one, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
-	got, stats, err := Run(context.Background(), wideSpec(t, n), Config{
-		Checkpoint: journal,
-		Workers:    8,
-	})
+	spec := wideSpec(t, n)
+	spec.Parallelism = 8
+	got, stats, err := Run(context.Background(), spec, Config{Checkpoint: journal})
 	if err != nil {
 		t.Fatal(err)
 	}

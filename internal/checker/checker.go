@@ -54,8 +54,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"symplfied/internal/detector"
@@ -63,6 +61,7 @@ import (
 	"symplfied/internal/isa"
 	"symplfied/internal/machine"
 	"symplfied/internal/obs"
+	"symplfied/internal/pool"
 	"symplfied/internal/summary"
 	"symplfied/internal/symbolic"
 	"symplfied/internal/symexec"
@@ -164,13 +163,13 @@ type Spec struct {
 	// against the full encodings.
 	Dedup bool
 	// Parallelism sizes the worker pool RunCtx fans the injection sweep
-	// across: 0 selects GOMAXPROCS, 1 forces the sequential sweep, and the
-	// pool never exceeds the injection count. The merged report of an
-	// uninterrupted parallel run is byte-identical to the sequential run's
+	// across: 0 selects GOMAXPROCS, 1 sweeps inline on the caller's
+	// goroutine, and the pool never exceeds the injection count. The merged
+	// report of an uninterrupted run is byte-identical at every width
 	// (injection reports and findings in injection order, ExecStats merged
 	// commutatively); only wall-clock-dependent outcomes (an expired
 	// PerInjectionTimeout) can differ, exactly as they already do between
-	// two sequential runs on different machines. Parallelism is an
+	// two one-worker runs on different machines. Parallelism is an
 	// operational knob: it never changes what is explored, and is therefore
 	// excluded from the campaign fingerprint.
 	Parallelism int
@@ -494,14 +493,17 @@ func Run(spec Spec) (*Report, error) {
 	return RunCtx(context.Background(), spec)
 }
 
-// RunCtx executes the search, fanning the injection sweep across a worker
-// pool sized by spec.Parallelism (0: GOMAXPROCS; injections are independent,
-// so the sweep is embarrassingly parallel). The merged report is
-// deterministic: injection reports and findings appear in injection order
-// and the counters merge commutatively, so an uninterrupted parallel run is
-// byte-identical to a sequential one. When ctx is cancelled (or its deadline
-// expires) mid-sweep, the reports of the injections that were swept are
-// returned with Interrupted set rather than discarded.
+// RunCtx executes the search, fanning the injection sweep through the
+// shared worker pool (internal/pool) at spec.Parallelism workers (0:
+// GOMAXPROCS; injections are independent, so the sweep is embarrassingly
+// parallel). The pool dispatches injections in order and every width runs
+// the same code, so the merged report is deterministic: injection reports
+// and findings appear in injection order and the counters merge
+// commutatively. An infrastructure error stops dispatch and fails the
+// search with the lowest-index error, as a one-worker sweep would. When ctx
+// is cancelled (or its deadline expires) mid-sweep, dispatch stops and the
+// reports of the injections that were swept are returned with Interrupted
+// set rather than discarded.
 func RunCtx(ctx context.Context, spec Spec) (*Report, error) {
 	if spec.Program == nil {
 		return nil, fmt.Errorf("checker: nil program")
@@ -510,100 +512,24 @@ func RunCtx(ctx context.Context, spec Spec) (*Report, error) {
 		return nil, fmt.Errorf("checker: nil predicate")
 	}
 	// Resolve the summary and merge contexts once so every injection in the
-	// sweep — sequential or parallel — shares one analysis, one summary set,
-	// and one representative memo per breakpoint.
+	// sweep shares one analysis, one summary set, and one representative
+	// memo per breakpoint.
 	spec.EnsureSummaries()
 	spec.EnsureMerge()
-	if workers := poolSize(spec.Parallelism, len(spec.Injections)); workers > 1 {
-		return runParallel(ctx, spec, workers)
-	}
+	results := make([]InjectionReport, len(spec.Injections))
+	errs := make([]error, len(spec.Injections))
+	ran := pool.Run(ctx, spec.Parallelism, len(spec.Injections), func(i int) bool {
+		results[i], errs[i] = RunInjectionCtx(ctx, spec, spec.Injections[i])
+		return errs[i] != nil
+	})
 	rep := NewReport(&spec)
-	for _, inj := range spec.Injections {
-		if ctx.Err() != nil {
-			rep.Interrupted = true
-			break
-		}
-		ir, err := RunInjectionCtx(ctx, spec, inj)
-		if err != nil {
-			return nil, fmt.Errorf("checker: %s: %w", inj, err)
-		}
-		rep.Add(ir)
-	}
-	return rep, nil
-}
-
-// poolSize resolves a Parallelism knob against the amount of independent
-// work: 0 means GOMAXPROCS, and a pool never exceeds the work count.
-func poolSize(parallelism, work int) int {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > work {
-		parallelism = work
-	}
-	return parallelism
-}
-
-// runParallel is the parallel injection sweep behind RunCtx. Workers pull
-// injection indexes from a channel and write each report into its index
-// slot; the merge then folds the slots in injection order, so worker
-// interleaving never shows in the report. Cancellation stops dispatch, and
-// the injections never started leave the report marked Interrupted — the
-// parallel analogue of the sequential sweep stopping mid-list.
-func runParallel(ctx context.Context, spec Spec, workers int) (*Report, error) {
-	// Pool-utilization gauges, shared with the cluster harness so one
-	// -metrics-addr scrape shows every pool's width and busyness additively.
-	reg := obs.Default()
-	poolWorkers := reg.Gauge(obs.MWorkers)
-	busyWorkers := reg.Gauge(obs.MBusyWorkers)
-	poolWorkers.Add(int64(workers))
-	defer poolWorkers.Add(-int64(workers))
-
-	var (
-		results = make([]InjectionReport, len(spec.Injections))
-		errs    = make([]error, len(spec.Injections))
-		settled = make([]bool, len(spec.Injections))
-		next    = make(chan int)
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				busyWorkers.Add(1)
-				results[i], errs[i] = RunInjectionCtx(ctx, spec, spec.Injections[i])
-				settled[i] = true
-				busyWorkers.Add(-1)
-			}
-		}()
-	}
-dispatch:
-	for i := range spec.Injections {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	rep := NewReport(&spec)
-	for i := range spec.Injections {
-		if !settled[i] {
-			rep.Interrupted = true
-			continue
-		}
+	for i := range ran {
 		if errs[i] != nil {
-			// Same contract as the sequential sweep: an infrastructure
-			// error (e.g. a malformed injection) aborts the search. The
-			// lowest-index error wins, which is what a sequential sweep
-			// would have reported.
 			return nil, fmt.Errorf("checker: %s: %w", spec.Injections[i], errs[i])
 		}
 		rep.Add(results[i])
 	}
+	rep.Interrupted = rep.Interrupted || ran < len(spec.Injections)
 	return rep, nil
 }
 

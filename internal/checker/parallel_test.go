@@ -134,3 +134,33 @@ func TestParallelInterrupted(t *testing.T) {
 			len(rep.PerInjection), len(injections))
 	}
 }
+
+// TestCancelledSweepDispatchesNothing: under an already-cancelled context a
+// four-worker sweep starts no injection, on every one of 1,000 repetitions,
+// and reports itself Interrupted. A dispatcher that picks at random between a
+// ready worker and the closed Done channel starts one now and then.
+func TestCancelledSweepDispatchesNothing(t *testing.T) {
+	prog := tcas.Program()
+	exec := symexec.DefaultOptions()
+	exec.Watchdog = 4000
+	spec := Spec{
+		Program:     prog,
+		Input:       tcas.UpwardInput().Slice(),
+		Injections:  faults.RegisterInjectionsUsed(prog)[:16],
+		Exec:        exec,
+		Predicate:   HaltedOutputOtherThan(tcas.UpwardRA),
+		StateBudget: 1500,
+		Parallelism: 4,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for rep := 0; rep < 1000; rep++ {
+		r, err := RunCtx(ctx, spec)
+		if err != nil {
+			t.Fatalf("repetition %d: %v", rep, err)
+		}
+		if len(r.PerInjection) != 0 || !r.Interrupted {
+			t.Fatalf("repetition %d: cancelled sweep ran %d injections (interrupted %v)", rep, len(r.PerInjection), r.Interrupted)
+		}
+	}
+}

@@ -15,15 +15,13 @@ package cluster
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"symplfied/internal/checker"
 	"symplfied/internal/faults"
 	"symplfied/internal/obs"
+	"symplfied/internal/pool"
 	"symplfied/internal/simplescalar"
 	"symplfied/internal/symexec"
 )
@@ -179,19 +177,13 @@ func Run(spec checker.Spec, tasks []Task, cfg Config) []TaskReport {
 	return RunCtx(context.Background(), spec, tasks, cfg)
 }
 
-// RunCtx executes the tasks on a worker pool under ctx. Cancellation stops
-// dispatching new tasks and interrupts running ones at their next frontier
-// poll; every task that did not complete is returned marked Interrupted with
-// whatever partial tallies it gathered, so a killed study still pools the
-// work already done.
+// RunCtx executes the tasks on the shared worker pool (internal/pool) under
+// ctx. Cancellation stops dispatching new tasks and interrupts running ones
+// at their next frontier poll; every task that did not complete is returned
+// marked Interrupted with whatever partial tallies it gathered, so a killed
+// study still pools the work already done.
 func RunCtx(ctx context.Context, spec checker.Spec, tasks []Task, cfg Config) []TaskReport {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers := pool.Size(cfg.Workers, len(tasks))
 	if workers > 1 {
 		// The task pool is the parallelism here; letting every task also fan
 		// its injections across spec.Parallelism workers would oversubscribe
@@ -210,71 +202,34 @@ func RunCtx(ctx context.Context, spec checker.Spec, tasks []Task, cfg Config) []
 	spec.EnsureSummaries()
 	spec.EnsureMerge()
 
-	// Pool utilization and decomposition-progress gauges for -metrics-addr
-	// scrapes and the -progress ETA. Gauges use deltas, not Set, so nested
-	// pools (a dist worker running its own cluster sweep) stay additive.
+	// Decomposition-progress gauges for -metrics-addr scrapes and the
+	// -progress ETA (the pool keeps the worker gauges). Gauges use deltas,
+	// not Set, so nested pools (a dist worker running its own cluster sweep)
+	// stay additive.
 	reg := obs.Default()
-	poolWorkers := reg.Gauge(obs.MWorkers)
-	busyWorkers := reg.Gauge(obs.MBusyWorkers)
 	tasksTotal := reg.Gauge(obs.MTasksTotal)
 	tasksDone := reg.Gauge(obs.MTasksDone)
 	taskSeconds := reg.Histogram(obs.MTaskSeconds, nil)
-	poolWorkers.Add(int64(workers))
 	tasksTotal.Add(int64(len(tasks)))
-	var doneCount atomic.Int64
-	defer func() {
-		poolWorkers.Add(-int64(workers))
-		tasksTotal.Add(-int64(len(tasks)))
-		tasksDone.Add(-doneCount.Load()) // retire this study's contribution
-	}()
 
 	reports := make([]TaskReport, len(tasks))
-	started := make([]bool, len(tasks))
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				busyWorkers.Add(1)
-				start := time.Now()
-				reports[idx] = runTask(ctx, spec, tasks[idx], budget, cfg.MaxFindingsPerTask)
-				taskSeconds.Observe(time.Since(start).Seconds())
-				busyWorkers.Add(-1)
-				tasksDone.Add(1)
-				doneCount.Add(1)
-			}
-		}()
-	}
-dispatch:
-	for i := range tasks {
-		select {
-		case next <- i:
-			started[i] = true
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	for i := range tasks {
-		if !started[i] {
-			reports[i] = TaskReport{
-				TaskID:      tasks[i].ID,
-				Interrupted: true,
-				Outcomes:    make(map[symexec.Outcome]int),
-			}
+	ran := pool.Run(ctx, workers, len(tasks), func(i int) bool {
+		start := time.Now()
+		reports[i], _ = RunTaskCtx(ctx, spec, tasks[i], budget, cfg.MaxFindingsPerTask)
+		taskSeconds.Observe(time.Since(start).Seconds())
+		tasksDone.Add(1)
+		return false
+	})
+	tasksTotal.Add(-int64(len(tasks)))
+	tasksDone.Add(-int64(ran)) // retire this study's contribution
+	for i := ran; i < len(tasks); i++ {
+		reports[i] = TaskReport{
+			TaskID:      tasks[i].ID,
+			Interrupted: true,
+			Outcomes:    make(map[symexec.Outcome]int),
 		}
 	}
 	return reports
-}
-
-func runTask(ctx context.Context, spec checker.Spec, task Task, budget, maxFindings int) TaskReport {
-	rep, _ := RunTaskCtx(ctx, spec, task, budget, maxFindings)
-	return rep
 }
 
 // RunTaskCtx executes one task: each injection is explored through
@@ -288,11 +243,29 @@ func runTask(ctx context.Context, spec checker.Spec, task Task, budget, maxFindi
 // can observe, so pooling the shipped reports remotely reconstructs the
 // identical TaskReport.
 //
-// When spec.Parallelism allows more than one worker, the sweep runs
-// speculatively in parallel and replays the shared-budget accounting
-// sequentially (see runTaskParallel); the returned report and reports are
-// identical to the sequential sweep's for everything except
-// wall-clock-dependent outcomes (an expired PerInjectionTimeout).
+// The shared budget makes injections sequentially dependent (each one's
+// budget is what its predecessors left over), so one replay loop walks the
+// injections in order and imposes the accounting. At one worker
+// (spec.Parallelism 1, or a one-injection task) it explores each injection
+// lazily with the budget and finding cap remaining at its turn. At more, the
+// pool first explores every injection speculatively with the FULL task
+// budget and finding cap, and the replay reads those runs. Two facts make
+// the replay exact:
+//
+//   - StateBudget only matters once it binds. A speculative run that explored
+//     no more states than the budget remaining at its turn is byte-identical
+//     to the lazy run; the first injection whose speculative run overran its
+//     remaining budget — the one injection where the sweep actually ends — is
+//     re-run lazily with the clipped budget.
+//   - MaxFindings truncates the recorded findings but never stops
+//     exploration, so clipping a speculative run's findings to the cap
+//     remaining at its turn reproduces the lazy report exactly.
+//
+// The returned report and reports are therefore the same at every width,
+// except for wall-clock-dependent outcomes (an expired PerInjectionTimeout).
+// The cost of speculation is burnt work past the budget cutoff (bounded by
+// one full-budget run per worker), traded for using every core on one task —
+// the dist-worker shape, where a node holds a single lease at a time.
 func RunTaskCtx(ctx context.Context, spec checker.Spec, task Task, budget, maxFindings int) (TaskReport, []checker.InjectionReport) {
 	if budget <= 0 {
 		budget = DefaultTaskStateBudget
@@ -302,9 +275,28 @@ func RunTaskCtx(ctx context.Context, spec checker.Spec, task Task, budget, maxFi
 	// wider), and likewise the merge context.
 	spec.EnsureSummaries()
 	spec.EnsureMerge()
-	if workers := taskPoolSize(spec.Parallelism, len(task.Injections)); workers > 1 {
-		return runTaskParallel(ctx, spec, task, budget, maxFindings, workers)
+	run := func(i, states, findingsLeft int) (checker.InjectionReport, error) {
+		injSpec := spec
+		injSpec.StateBudget = states
+		if maxFindings > 0 {
+			injSpec.MaxFindings = findingsLeft
+		}
+		return checker.RunInjectionCtx(ctx, injSpec, task.Injections[i])
 	}
+	type slot struct {
+		ir  checker.InjectionReport
+		err error
+	}
+	var slots []slot // speculative runs of the injections [0, speculated)
+	speculated := 0
+	if workers := pool.Size(spec.Parallelism, len(task.Injections)); workers > 1 {
+		slots = make([]slot, len(task.Injections))
+		speculated = pool.Run(ctx, workers, len(task.Injections), func(i int) bool {
+			slots[i].ir, slots[i].err = run(i, budget, maxFindings)
+			return slots[i].err != nil // the replay ends at the error
+		})
+	}
+
 	var (
 		irs         []checker.InjectionReport
 		remaining   = budget
@@ -312,23 +304,34 @@ func RunTaskCtx(ctx context.Context, spec checker.Spec, task Task, budget, maxFi
 		interrupted = false
 		taskErr     error
 	)
-	for _, inj := range task.Injections {
-		if ctx.Err() != nil {
+	for i := range task.Injections {
+		if i >= speculated && ctx.Err() != nil {
 			interrupted = true
 			break
 		}
 		if remaining <= 0 {
 			break // budget exhausted before sweeping everything
 		}
-		injSpec := spec
-		injSpec.StateBudget = remaining
-		if maxFindings > 0 {
-			injSpec.MaxFindings = maxFindings - findings
+		var sl slot
+		lazy := i >= speculated
+		if !lazy {
+			sl = slots[i]
+			// The shared budget cuts this injection short, so its
+			// speculative full-budget run is the wrong exploration.
+			// Exploration is deterministic, so the lazy re-run is exactly
+			// the one-worker sweep's budget-exhausted report.
+			lazy = sl.err == nil && sl.ir.StatesExplored > remaining
 		}
-		ir, err := checker.RunInjectionCtx(ctx, injSpec, inj)
-		if err != nil {
-			taskErr = err
+		if lazy {
+			sl.ir, sl.err = run(i, remaining, maxFindings-findings)
+		}
+		if sl.err != nil {
+			taskErr = sl.err
 			break
+		}
+		ir := sl.ir
+		if left := maxFindings - findings; maxFindings > 0 && len(ir.Findings) > left {
+			ir.Findings = ir.Findings[:left]
 		}
 		irs = append(irs, ir)
 		remaining -= ir.StatesExplored
@@ -345,156 +348,13 @@ func RunTaskCtx(ctx context.Context, spec checker.Spec, task Task, budget, maxFi
 			break
 		}
 	}
-	rep := PoolReports(task, irs, maxFindings)
-	if interrupted {
-		rep.Interrupted = true
-	}
-	if taskErr != nil {
-		rep.Err = taskErr
-		rep.Failure = taskErr.Error()
-	}
-	return rep, irs
-}
-
-// taskPoolSize resolves checker.Spec.Parallelism against a task's injection
-// count: 0 means GOMAXPROCS, and the pool never exceeds the work.
-func taskPoolSize(parallelism, work int) int {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > work {
-		parallelism = work
-	}
-	return parallelism
-}
-
-// runTaskParallel is the parallel variant of RunTaskCtx's sweep. The shared
-// state budget makes injections sequentially dependent (each one's budget is
-// what its predecessors left over), so the sweep speculates: every injection
-// runs concurrently with the FULL task budget and finding cap, and a
-// sequential replay then re-imposes the real accounting in injection order.
-// Two facts make the replay exact:
-//
-//   - StateBudget only matters once it binds. A speculative run that explored
-//     no more states than the budget remaining at its turn is byte-identical
-//     to the run the sequential sweep would have made; the first injection
-//     whose speculative run overran its remaining budget — the one injection
-//     where the sweep actually ends — is re-run with the clipped budget.
-//   - MaxFindings truncates the recorded findings but never stops
-//     exploration, so clipping a speculative run's findings to the cap
-//     remaining at its turn reproduces the sequential report exactly.
-//
-// The cost of speculation is burnt work past the budget cutoff (bounded by
-// one full-budget run per worker), traded for using every core on one task —
-// the dist-worker shape, where a node holds a single lease at a time.
-func runTaskParallel(ctx context.Context, spec checker.Spec, task Task, budget, maxFindings, workers int) (TaskReport, []checker.InjectionReport) {
-	specSpec := spec
-	specSpec.StateBudget = budget
-	specSpec.MaxFindings = maxFindings
-
-	reg := obs.Default()
-	poolWorkers := reg.Gauge(obs.MWorkers)
-	busyWorkers := reg.Gauge(obs.MBusyWorkers)
-	poolWorkers.Add(int64(workers))
-	defer poolWorkers.Add(-int64(workers))
-
-	type slot struct {
-		ir      checker.InjectionReport
-		err     error
-		settled bool
-	}
-	slots := make([]slot, len(task.Injections))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				busyWorkers.Add(1)
-				ir, err := checker.RunInjectionCtx(ctx, specSpec, task.Injections[i])
-				slots[i] = slot{ir: ir, err: err, settled: true}
-				busyWorkers.Add(-1)
-			}
-		}()
-	}
-dispatch:
-	for i := range task.Injections {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	// Sequential replay: walk the speculative results in injection order,
-	// mirroring the sequential sweep's loop exactly.
-	var (
-		irs         []checker.InjectionReport
-		remaining   = budget
-		findings    = 0
-		interrupted = false
-		taskErr     error
-	)
-	for i := range task.Injections {
-		if !slots[i].settled {
-			// Dispatch stopped before this injection started: the sequential
-			// sweep's ctx check would have fired here.
-			interrupted = true
-			break
-		}
-		if remaining <= 0 {
-			break
-		}
-		if slots[i].err != nil {
-			taskErr = slots[i].err
-			break
-		}
-		ir := slots[i].ir
-		if ir.StatesExplored > remaining {
-			// The shared budget cuts this injection short, so its speculative
-			// full-budget run is the wrong exploration. Re-run with the
-			// clipped budget — exploration is deterministic, so this yields
-			// exactly the sequential sweep's budget-exhausted report, and the
-			// sweep ends right after it.
-			injSpec := spec
-			injSpec.StateBudget = remaining
-			if maxFindings > 0 {
-				injSpec.MaxFindings = maxFindings - findings
-			}
-			rerun, err := checker.RunInjectionCtx(ctx, injSpec, task.Injections[i])
-			if err != nil {
-				taskErr = err
-				break
-			}
-			ir = rerun
-		} else if maxFindings > 0 {
-			if left := maxFindings - findings; len(ir.Findings) > left {
-				ir.Findings = ir.Findings[:left]
-			}
-		}
-		irs = append(irs, ir)
-		remaining -= ir.StatesExplored
-		findings += len(ir.Findings)
-		if ir.Panicked {
-			continue
-		}
-		if ir.Interrupted || ir.BudgetExhausted {
-			break
-		}
-		if maxFindings > 0 && findings >= maxFindings {
-			break
-		}
-	}
 	// A cancel stops the replay at the first interrupted injection, but the
 	// pool ran later injections concurrently: the cancel cut some short and
-	// let others finish. Pool the work of every one that settled (the task
-	// is partial either way), so a cancel never discards work already done.
+	// let others finish. Pool the work of every one that ran (the task is
+	// partial either way), so a cancel never discards work already done.
 	if ctx.Err() != nil && taskErr == nil && (interrupted || len(irs) > 0 && irs[len(irs)-1].Interrupted) {
-		for j := len(irs); j < len(slots); j++ {
-			if sl := slots[j]; sl.settled && sl.err == nil {
+		for j := len(irs); j < speculated; j++ {
+			if sl := slots[j]; sl.err == nil {
 				ir := sl.ir
 				if left := maxFindings - findings; maxFindings > 0 && len(ir.Findings) > left {
 					ir.Findings = ir.Findings[:max(left, 0)]

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"sync/atomic"
 	"testing"
 
 	"symplfied/internal/apps/factorial"
+	"symplfied/internal/apps/tcas"
 	"symplfied/internal/checker"
 	"symplfied/internal/faults"
 	"symplfied/internal/isa"
@@ -112,6 +115,89 @@ func TestRunTaskPoolEquivalence(t *testing.T) {
 				t.Errorf("pooled report diverges:\n ran    %+v\n pooled %+v", rep, pooled)
 			}
 		})
+	}
+}
+
+// TestCancelledTaskShipsNothing: under an already-cancelled context a
+// four-worker task sweep explores no injection and ships no report, on every
+// one of 1,000 repetitions.
+func TestCancelledTaskShipsNothing(t *testing.T) {
+	spec := factorialSpec(t)
+	spec.Parallelism = 4
+	task := Split(faults.RegisterInjections(spec.Program, true), 1)[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for rep := 0; rep < 1000; rep++ {
+		r, irs := RunTaskCtx(ctx, spec, task, 0, 0)
+		if len(irs) != 0 || !r.Interrupted || r.StatesExplored != 0 {
+			t.Fatalf("repetition %d: cancelled task shipped %d injection reports (interrupted %v, %d states)",
+				rep, len(irs), r.Interrupted, r.StatesExplored)
+		}
+	}
+}
+
+// TestRunTaskWidthIdentity pins RunTaskCtx's replay loop: a task swept by
+// one worker (each injection explored lazily with the budget and finding cap
+// left at its turn) and by four (speculative full-budget runs, re-running
+// only the injection that overran) returns JSON-identical task reports and
+// shipped injection reports, for budgets that bind in the first injection,
+// mid-sweep (2,000 states) and never (20,000), a finding cap, and both at
+// once.
+func TestRunTaskWidthIdentity(t *testing.T) {
+	tcasSpec := func() (checker.Spec, Task) {
+		prog := tcas.Program()
+		exec := symexec.DefaultOptions()
+		exec.Watchdog = 4000
+		spec := checker.Spec{
+			Program:       prog,
+			Input:         tcas.UpwardInput().Slice(),
+			Exec:          exec,
+			Predicate:     checker.HaltedOutputOtherThan(tcas.UpwardRA),
+			DiscardStates: true,
+		}
+		return spec, Split(faults.RegisterInjectionsUsed(prog)[:24], 1)[0]
+	}
+	factSpec := func() (checker.Spec, Task) {
+		spec := factorialSpec(t)
+		spec.DiscardStates = true
+		return spec, Split(faults.RegisterInjections(spec.Program, true), 1)[0]
+	}
+	for _, app := range []struct {
+		name string
+		make func() (checker.Spec, Task)
+	}{{"factorial", factSpec}, {"tcas", tcasSpec}} {
+		for _, tc := range []struct {
+			name             string
+			budget, findings int
+		}{
+			{"budget-120", 120, 0},
+			{"budget-20000", 20_000, 0},
+			{"cap-2", 0, 2},
+			{"budget-120-cap-2", 120, 2},
+			{"budget-20000-cap-2", 20_000, 2},
+			{"budget-2000", 2000, 0},
+			{"budget-2000-cap-8", 2000, 8},
+		} {
+			t.Run(app.name+"/"+tc.name, func(t *testing.T) {
+				var got [2][]byte
+				for k, par := range []int{1, 4} {
+					spec, task := app.make()
+					spec.Parallelism = par
+					rep, irs := RunTaskCtx(context.Background(), spec, task, tc.budget, tc.findings)
+					b, err := json.Marshal(struct {
+						Report  TaskReport
+						Shipped []checker.InjectionReport
+					}{rep, irs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[k] = b
+				}
+				if !bytes.Equal(got[0], got[1]) {
+					t.Errorf("four-worker task differs from one-worker task\n one:  %s\n four: %s", got[0], got[1])
+				}
+			})
+		}
 	}
 }
 

@@ -188,6 +188,22 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestCancelledPointsDispatchNothing: under an already-cancelled context a
+// four-worker point sweep returns no point report and says it was
+// interrupted, on every one of 1,000 repetitions.
+func TestCancelledPointsDispatchNothing(t *testing.T) {
+	spec := branchSpec(t)
+	pts := spec.Points()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for rep := 0; rep < 1000; rep++ {
+		prs, interrupted := RunPointsCtx(ctx, spec, pts, 4)
+		if len(prs) != 0 || !interrupted {
+			t.Fatalf("repetition %d: cancelled sweep returned %d point reports (interrupted %v)", rep, len(prs), interrupted)
+		}
+	}
+}
+
 // TestBrokenPruningCaughtAsSymbolicMiss: simulating an unsound pruning via
 // the test-only hook must surface as a conclusive SymbolicMiss carrying the
 // full repro (seed, point, value, trace tail, symbolic finding).

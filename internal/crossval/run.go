@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"symplfied/internal/campaign"
 	"symplfied/internal/obs"
+	"symplfied/internal/pool"
 	"symplfied/internal/simplescalar"
 )
 
@@ -41,7 +41,8 @@ const journalKind = "crossval"
 // Config carries the operational knobs of a sweep — none of them affect
 // verdicts or report bytes.
 type Config struct {
-	// Parallelism is the worker count; <= 0 selects GOMAXPROCS.
+	// Parallelism sizes the shared worker pool (internal/pool) the sweep
+	// fans its points through; <= 0 selects GOMAXPROCS.
 	Parallelism int
 	// Checkpoint journals every settled point to this path; empty disables.
 	Checkpoint string
@@ -178,65 +179,23 @@ func RunPointCtx(ctx context.Context, spec Spec, pt simplescalar.Point, memo *sy
 }
 
 // RunPointsCtx cross-validates exactly the given points — a distributed
-// task. Reports come back in input order; interrupted is true when
-// cancellation abandoned the task before every point settled.
+// task — on the shared worker pool (internal/pool) at parallelism workers.
+// Reports come back in input order; interrupted is true when cancellation
+// abandoned the task before every point settled. A point is interrupted only
+// by a cancelled ctx, so no point starts once one has been.
 func RunPointsCtx(ctx context.Context, spec Spec, pts []simplescalar.Point, parallelism int) (reports []PointReport, interrupted bool) {
-	results := make([]*PointReport, len(pts))
-	var wasInterrupted atomic.Bool
+	results := make([]PointReport, len(pts))
 	memo := newSymMemo()
-	sweep(ctx, parallelism, len(pts), func(i int) {
-		pr := RunPointCtx(ctx, spec, pts[i], memo)
-		if pr.Interrupted {
-			wasInterrupted.Store(true)
-			return
-		}
-		results[i] = &pr
+	ran := pool.Run(ctx, parallelism, len(pts), func(i int) bool {
+		results[i] = RunPointCtx(ctx, spec, pts[i], memo)
+		return false
 	})
-	for _, pr := range results {
-		if pr != nil {
-			reports = append(reports, *pr)
+	for _, pr := range results[:ran] {
+		if !pr.Interrupted {
+			reports = append(reports, pr)
 		}
 	}
-	return reports, wasInterrupted.Load() || ctx.Err() != nil
-}
-
-// sweep runs fn(0..n-1) over a bounded worker pool.
-func sweep(ctx context.Context, parallelism, n int, fn func(i int)) {
-	par := parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain
-				}
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	return reports, ctx.Err() != nil
 }
 
 // Run executes the whole campaign with default operational settings.
@@ -245,7 +204,10 @@ func Run(spec Spec) (*Report, error) {
 }
 
 // RunCtx executes the whole cross-validation campaign under ctx with
-// checkpoint/resume support. Cancellation returns the partial report with
+// checkpoint/resume support, fanning the points the journal does not hold
+// through the shared worker pool (internal/pool) at cfg.Parallelism workers.
+// Points merge in canonical order, so the report is the same at any width.
+// Cancellation stops dispatch and returns the partial report with
 // Interrupted set.
 func RunCtx(ctx context.Context, spec Spec, cfg Config) (*Report, error) {
 	if spec.Program == nil {
@@ -294,14 +256,12 @@ func RunCtx(ctx context.Context, spec Spec, cfg Config) (*Report, error) {
 	done.Store(int64(resumed))
 	var journalMu sync.Mutex
 	var journalErr error
-	var wasInterrupted atomic.Bool
 	memo := newSymMemo()
-	sweep(ctx, cfg.Parallelism, len(todo), func(ti int) {
+	pool.Run(ctx, cfg.Parallelism, len(todo), func(ti int) bool {
 		i := todo[ti]
 		pr := RunPointCtx(ctx, spec, pts[i], memo)
 		if pr.Interrupted {
-			wasInterrupted.Store(true)
-			return
+			return false // only a cancelled ctx interrupts a point
 		}
 		results[i] = &pr
 		if journal != nil {
@@ -316,6 +276,7 @@ func RunCtx(ctx context.Context, spec Spec, cfg Config) (*Report, error) {
 		if cfg.OnPoint != nil {
 			cfg.OnPoint(int(done.Add(1)), len(pts))
 		}
+		return false
 	})
 
 	var settled []PointReport
@@ -325,7 +286,7 @@ func RunCtx(ctx context.Context, spec Spec, cfg Config) (*Report, error) {
 		}
 	}
 	rep := Merge(spec, settled)
-	rep.Interrupted = wasInterrupted.Load() || ctx.Err() != nil
+	rep.Interrupted = ctx.Err() != nil
 	rep.Resumed = resumed
 	if journalErr != nil {
 		return rep, fmt.Errorf("crossval: checkpoint write failed: %w", journalErr)

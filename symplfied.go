@@ -239,7 +239,8 @@ type SearchSpec struct {
 	// ...) are aliases for the embedded fields and keep working unchanged.
 	Limits
 	// Parallelism fans the injection sweep across a worker pool: 0 selects
-	// all cores (GOMAXPROCS), 1 forces the sequential sweep. The merged
+	// all cores (GOMAXPROCS), 1 sweeps inline on one core. It sizes
+	// SearchResilient's pool too. The merged
 	// report of an uninterrupted run is byte-identical at any parallelism;
 	// like all operational knobs it never enters the campaign fingerprint.
 	Parallelism int
@@ -342,8 +343,9 @@ func SearchCtx(ctx context.Context, s SearchSpec) (*Report, error) {
 }
 
 // RunnerConfig configures the resilient campaign runner (SearchResilient):
-// checkpoint journaling, resume, transient-failure retries with graceful
-// degradation, and worker-pool parallelism.
+// checkpoint journaling, resume, and transient-failure retries with graceful
+// degradation. The runner's worker pool is sized by SearchSpec.Parallelism,
+// like every other sweep.
 type RunnerConfig = campaign.Config
 
 // RunnerStats reports what the resilient runner did: injections resumed from
